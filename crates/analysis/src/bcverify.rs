@@ -1,9 +1,8 @@
 //! Load-time bytecode verifier.
 //!
 //! [`verify_program`] runs a dataflow analysis over a loadable
-//! [`CodeProgram`] and either proves it safe for the VM's *unchecked*
-//! dispatch fast path or rejects it with a `{fun, pc, rule}`-addressed
-//! [`Rejection`].  The design follows the JVM verifier: per-function
+//! [`CodeProgram`] and either accepts it or rejects it with a
+//! `{fun, pc, rule}`-addressed [`Rejection`].  The design follows the JVM verifier: per-function
 //! abstract interpretation to a fixpoint over the control-flow graph, with
 //! purely structural checks (index bounds) applied to *every* instruction
 //! and dataflow rules applied to *reachable* instructions only (compiled
@@ -42,9 +41,13 @@
 //! raw word flowing into a GC-scanned position is accepted (the library's
 //! inject sequences produce tagged-valid words the verifier cannot
 //! distinguish from arbitrary arithmetic), and heap loads/stores stay
-//! bounds-checked at run time even on the fast path.  The unchecked fast
-//! path therefore only elides checks the proofs above make redundant:
-//! register indexing, instruction fetch, and pool/global access.
+//! bounds-checked at run time.
+//!
+//! The structural bounds rules overlap the VM's decode checks, which run
+//! on every load and are what the dispatch loop's unchecked register,
+//! fetch, and pool/global accesses rely on.  The verifier is a load gate
+//! for the dataflow rules: def-before-use, GC scan kinds, and handler
+//! balance.
 
 use std::fmt;
 
@@ -207,7 +210,7 @@ impl fmt::Display for VerifyReport {
 /// and converts the first rejection into
 /// [`sxr_vm::VmErrorKind::RejectedByVerifier`].  Install it via
 /// [`sxr_vm::MachineConfig::verifier`] to refuse unverifiable programs at
-/// load and run verified ones on the unchecked fast path.
+/// load.
 pub fn verifier_hook(program: &CodeProgram) -> Result<(), VmError> {
     let report = verify_program(program);
     match report.first() {
@@ -300,8 +303,7 @@ enum Flow {
 
 /// Verifies `program`, returning every structural problem and (for
 /// structurally sound functions) at most one dataflow violation per
-/// function.  A clean report licenses the VM's unchecked fast path; see
-/// the module docs for the exact contract.
+/// function.  See the module docs for the exact contract.
 pub fn verify_program(program: &CodeProgram) -> VerifyReport {
     let mut report = VerifyReport::default();
     let registry = &program.registry;

@@ -16,10 +16,12 @@
 //!    discipline, or registry consistency is caught *at the pass that broke
 //!    it* rather than at the VM;
 //! 3. a **load-time bytecode verifier** ([`verify_program`]) — a JVM-style
-//!    dataflow proof over the final instruction stream.  A clean report
-//!    licenses the VM's unchecked dispatch fast path (install
-//!    [`verifier_hook`] via `MachineConfig::verifier`); a rejection names
-//!    the exact `{fun, pc, rule}` and the machine refuses to start.
+//!    dataflow proof over the final instruction stream, installed as a
+//!    load gate via [`verifier_hook`] and `MachineConfig::verifier`.  It
+//!    proves def-before-use, GC scan kinds and handler balance; a
+//!    rejection names the exact `{fun, pc, rule}` and the machine refuses
+//!    to start.  The VM's memory safety does not rest on it: decode proves
+//!    every access the dispatch loop skips, on every load.
 //!
 //! The analyzer is deliberately conservative: unknown values (parameters,
 //! call results, closure slots) are `Top`, and only contradictions that hold

@@ -2,7 +2,8 @@
 //! benchmark suite, per configuration.
 //!
 //! Regenerate with: `cargo run -p sxr-bench --bin table2`
-//! (wall-clock times come from `cargo bench -p sxr-bench`)
+//! (wall-clock times come from
+//! `cargo run --release -p sxr-bench --bin bench_vm`)
 
 use sxr::{Compiler, PipelineConfig};
 use sxr_bench::BENCHMARKS;

@@ -180,7 +180,7 @@ pub fn benchmark(name: &str) -> Option<&'static Benchmark> {
 // ---------------------------------------------------------------------------
 
 use std::time::Duration;
-use sxr::report::{run_timed, run_timed_checked, run_under_fault, ChaosOutcome};
+use sxr::report::{run_timed, run_under_fault, ChaosOutcome};
 use sxr::{Compiled, Compiler, Counters, FaultPlan, Outcome, PipelineConfig};
 
 /// The pipeline configurations the wall-clock harness measures, with their
@@ -193,7 +193,7 @@ pub fn measured_configs() -> Vec<(&'static str, PipelineConfig)> {
     ]
 }
 
-/// One (benchmark, configuration, path) measurement: wall-clock statistics
+/// One (benchmark, configuration) measurement: wall-clock statistics
 /// over `iters` fresh-machine runs plus the dynamic counters of the final
 /// run (counters are deterministic across runs, so any run's will do).
 #[derive(Debug, Clone)]
@@ -202,10 +202,6 @@ pub struct Measurement {
     pub name: String,
     /// Configuration label (see [`measured_configs`]).
     pub config: String,
-    /// Which interpreter path ran: `true` = the program passed the
-    /// load-time bytecode verifier and ran on the unchecked fast path,
-    /// `false` = no verifier, every step bounds-checked.
-    pub verified: bool,
     /// Median per-run wall-clock time.
     pub median: Duration,
     /// Mean per-run wall-clock time.
@@ -220,12 +216,11 @@ pub struct Measurement {
     pub counters: Counters,
 }
 
-/// Runs every benchmark under every configuration on both interpreter
-/// paths — checked (no verifier, every step bounds-tested) and verified
-/// (bytecode verifier at load, unchecked fast path) — `iters` timed runs
-/// each (after one warmup run), and returns the measurements in report
-/// order.  Both paths must hit the differential oracle; the verifier's
-/// own cost is load-time and excluded (see [`run_timed`]).
+/// Runs every benchmark under every configuration, `iters` timed runs each
+/// (after one warmup run), and returns the measurements in report order.
+/// Each run loads a fresh machine as [`Compiled::machine`] does, bytecode
+/// verifier included; load is excluded from the timing (see
+/// [`run_timed`]).
 ///
 /// # Panics
 ///
@@ -233,43 +228,35 @@ pub struct Measurement {
 /// the repository's contract, so a broken benchmark is a bug, not a datum.
 pub fn measure_suite(iters: usize) -> Vec<Measurement> {
     assert!(iters > 0, "need at least one timed iteration");
-    let mut out = Vec::with_capacity(BENCHMARKS.len() * 3 * 2);
+    let mut out = Vec::with_capacity(BENCHMARKS.len() * 3);
     for b in BENCHMARKS {
         for (label, cfg) in measured_configs() {
             let compiled = Compiler::new(cfg)
                 .compile(b.source)
                 .unwrap_or_else(|e| panic!("{}/{label}: compile failed: {e}", b.name));
-            for verified in [false, true] {
-                let run = if verified {
-                    run_timed
-                } else {
-                    run_timed_checked
-                };
-                // Warmup: one untimed run (touches the heap, faults pages).
-                run(&compiled).unwrap_or_else(|e| panic!("{}/{label}: {e}", b.name));
-                let mut times = Vec::with_capacity(iters);
-                let mut last = None;
-                for _ in 0..iters {
-                    let (dt, outcome) =
-                        run(&compiled).unwrap_or_else(|e| panic!("{}/{label}: {e}", b.name));
-                    times.push(dt);
-                    last = Some(outcome);
-                }
-                times.sort();
-                let outcome = last.expect("iters > 0");
-                let mean = times.iter().sum::<Duration>() / iters as u32;
-                out.push(Measurement {
-                    name: b.name.to_string(),
-                    config: label.to_string(),
-                    verified,
-                    median: times[times.len() / 2],
-                    mean,
-                    min: times[0],
-                    ok: outcome.value == b.expect,
-                    value: outcome.value,
-                    counters: outcome.counters,
-                });
+            let run = || run_timed(&compiled).unwrap_or_else(|e| panic!("{}/{label}: {e}", b.name));
+            // Warmup: one untimed run (touches the heap, faults pages).
+            run();
+            let mut times = Vec::with_capacity(iters);
+            let mut last = None;
+            for _ in 0..iters {
+                let (dt, outcome) = run();
+                times.push(dt);
+                last = Some(outcome);
             }
+            times.sort();
+            let outcome = last.expect("iters > 0");
+            let mean = times.iter().sum::<Duration>() / iters as u32;
+            out.push(Measurement {
+                name: b.name.to_string(),
+                config: label.to_string(),
+                median: times[times.len() / 2],
+                mean,
+                min: times[0],
+                ok: outcome.value == b.expect,
+                value: outcome.value,
+                counters: outcome.counters,
+            });
         }
     }
     out
@@ -365,21 +352,20 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Renders the whole suite as the `BENCH_vm.json` document (schema
-/// `sxr-bench-vm/v2` — v2 added the per-row `verified` field for the
-/// checked-vs-fast-path comparison).  Serialization is hand-rolled: the
-/// build environment is offline, so no serde.
+/// `sxr-bench-vm/v3`: one row per benchmark × configuration).
+/// Serialization is hand-rolled: the build environment is offline, so no
+/// serde.
 pub fn suite_json(iters: usize, measurements: &[Measurement]) -> String {
     let mut rows = Vec::with_capacity(measurements.len());
     for m in measurements {
         rows.push(format!(
             concat!(
-                "    {{\"name\":\"{}\",\"config\":\"{}\",\"verified\":{},",
+                "    {{\"name\":\"{}\",\"config\":\"{}\",",
                 "\"median_ns\":{},\"mean_ns\":{},\"min_ns\":{},",
                 "\"value\":\"{}\",\"ok\":{},\"counters\":{}}}"
             ),
             json_escape(&m.name),
             json_escape(&m.config),
-            m.verified,
             m.median.as_nanos(),
             m.mean.as_nanos(),
             m.min.as_nanos(),
@@ -389,7 +375,7 @@ pub fn suite_json(iters: usize, measurements: &[Measurement]) -> String {
         ));
     }
     format!(
-        "{{\n  \"schema\": \"sxr-bench-vm/v2\",\n  \"iters\": {iters},\n  \"benchmarks\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"sxr-bench-vm/v3\",\n  \"iters\": {iters},\n  \"benchmarks\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     )
 }
@@ -408,7 +394,6 @@ mod tests {
         let m = Measurement {
             name: "fib".into(),
             config: "abstract-opt".into(),
-            verified: true,
             median: Duration::from_nanos(1500),
             mean: Duration::from_nanos(1600),
             min: Duration::from_nanos(1400),
@@ -417,9 +402,9 @@ mod tests {
             counters: Counters::default(),
         };
         let j = suite_json(3, &[m]);
-        assert!(j.contains("\"schema\": \"sxr-bench-vm/v2\""));
+        assert!(j.contains("\"schema\": \"sxr-bench-vm/v3\""));
         assert!(j.contains("\"iters\": 3"));
-        assert!(j.contains("\"verified\":true"));
+        assert!(!j.contains("verified"));
         assert!(j.contains("\"median_ns\":1500"));
         assert!(j.contains("\"ok\":true"));
         assert!(j.contains("\"counters\":{\"total\":0"));

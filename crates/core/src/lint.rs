@@ -169,7 +169,7 @@ pub fn lint_source(source: &str) -> Result<LintReport, CompileError> {
 /// Compiles `source` under the standard optimized configuration and runs
 /// the load-time bytecode verifier over the generated code (the
 /// `sxr lint --bytecode` mode).  A clean report means the machine will
-/// accept the program and run it on the unchecked fast path.
+/// accept the program at load.
 ///
 /// # Errors
 ///

@@ -16,10 +16,18 @@
 //!
 //! The interpreter then fetches instructions by value: zero per-step heap
 //! allocation and no borrows of the program during execution.
+//!
+//! Decode is also the proof behind the interpreter's unchecked accesses.
+//! It runs on every load and refuses, as [`VmErrorKind::BadProgram`], any
+//! register, pool, global, function, or representation index out of
+//! range, any wrong operand count, and any jump or handler target outside
+//! its function.  Every function ends in a [`DInst::FellOff`] sentinel, so
+//! falling through the last instruction fetches the sentinel, never memory
+//! past the end.
 
 use crate::error::{VmError, VmErrorKind};
 use crate::heap::Word;
-use crate::inst::{BinOp, CmpOp, CodeProgram, Inst, InstClass, Reg, RegImm, RepVmOp};
+use crate::inst::{BinOp, CmpOp, CodeFun, CodeProgram, Inst, InstClass, Reg, RegImm, RepVmOp};
 use sxr_ir::rep::{RepId, RepKind, RepRegistry};
 
 /// A span into the shared operand arena ([`DecodedProgram::args`]).
@@ -181,6 +189,10 @@ pub(crate) enum DInst {
         s: Reg,
     },
     ResetCounters,
+    /// The sentinel [`decode_program`] appends to every function: reached
+    /// only by falling through the last instruction, it stops the machine
+    /// with a `BadProgram` error.
+    FellOff,
 }
 
 impl DInst {
@@ -216,7 +228,8 @@ impl DInst {
             | DInst::PushHandler { .. }
             | DInst::PopHandler
             | DInst::RaiseOp { .. }
-            | DInst::ResetCounters => InstClass::Misc,
+            | DInst::ResetCounters
+            | DInst::FellOff => InstClass::Misc,
         }
     }
 }
@@ -269,22 +282,22 @@ pub(crate) fn rep_op_arity(op: RepVmOp) -> usize {
 
 /// Structural validation of one loadable instruction: every register field
 /// is inside the function's frame, every pool/global/function/`RepId` index
-/// is in bounds, and generic rep operations carry the operand count the
-/// interpreter will read.  These used to be debug-only assumptions (release
-/// builds would panic on out-of-range indexing); they are hard load errors
-/// in all builds now, so the checked interpreter loop never panics on
-/// adversarial programs.
+/// is in bounds, every jump and handler target is an instruction of the
+/// function (`< ninsts`), and generic rep operations carry the operand
+/// count the interpreter will read.  The interpreter reads registers, the
+/// pool, the globals, the operand arena and the code unchecked on the
+/// strength of these checks.
 fn validate_inst(
     program: &CodeProgram,
     registry: &RepRegistry,
-    fun_name: &str,
-    nregs: usize,
+    fun: &CodeFun,
     inst: &Inst,
 ) -> Result<(), VmError> {
+    let (nregs, ninsts) = (fun.nregs, fun.insts.len());
     let bad = |what: String| {
         Err(VmError::new(
             VmErrorKind::BadProgram,
-            format!("`{fun_name}`: {what}"),
+            format!("`{}`: {what}", fun.name),
         ))
     };
     let reg = |r: Reg| -> Result<(), VmError> {
@@ -321,6 +334,15 @@ fn validate_inst(
             ))
         }
     };
+    let target = |t: u32| -> Result<(), VmError> {
+        if (t as usize) < ninsts {
+            Ok(())
+        } else {
+            bad(format!(
+                "jump target {t} out of range (function has {ninsts} instructions)"
+            ))
+        }
+    };
     let fnid = |f: u32| -> Result<(), VmError> {
         if (f as usize) < program.funs.len() {
             Ok(())
@@ -350,8 +372,12 @@ fn validate_inst(
             }
             Ok(())
         }
-        Inst::Jump { .. } => Ok(()),
-        Inst::JumpCmp { a, b, .. } => reg(*a).and_then(|()| reg_imm(b)),
+        Inst::Jump { t } => target(*t),
+        Inst::JumpCmp { a, b, t, .. } => {
+            reg(*a)?;
+            reg_imm(b)?;
+            target(*t)
+        }
         Inst::GlobalGet { d, g } => reg(*d).and_then(|()| global(*g)),
         Inst::GlobalSet { g, s } => reg(*s).and_then(|()| global(*g)),
         Inst::MakeClosure { d, f, free } => {
@@ -393,7 +419,10 @@ fn validate_inst(
         }
         Inst::Intern { d, s } => regs(&[*d, *s]),
         Inst::WriteChar { s } | Inst::ErrorOp { s } | Inst::RaiseOp { s } => reg(*s),
-        Inst::PushHandler { h, d, .. } => regs(&[*h, *d]),
+        Inst::PushHandler { h, d, t } => {
+            regs(&[*h, *d])?;
+            target(*t)
+        }
         Inst::PopHandler | Inst::ResetCounters => Ok(()),
     }
 }
@@ -407,8 +436,9 @@ fn validate_inst(
 /// Returns [`VmErrorKind::BadProgram`] for instructions that could never
 /// execute successfully: an `AllocFill` of an immediate representation or
 /// with a negative static length, any out-of-range register, pool, global,
-/// function, or representation index, or a generic rep operation with the
-/// wrong operand count (see [`validate_inst`]).
+/// function, or representation index, any jump or handler target outside
+/// its function, or a generic rep operation with the wrong operand count
+/// (see [`validate_inst`]).
 pub(crate) fn decode_program(
     program: &CodeProgram,
     registry: &RepRegistry,
@@ -445,9 +475,9 @@ pub(crate) fn decode_program(
                 ),
             ));
         }
-        let mut insts = Vec::with_capacity(fun.insts.len());
+        let mut insts = Vec::with_capacity(fun.insts.len() + 1);
         for inst in &fun.insts {
-            validate_inst(program, registry, &fun.name, fun.nregs, inst)?;
+            validate_inst(program, registry, fun, inst)?;
             let d = match inst {
                 Inst::Const { d, imm } => DInst::Const { d: *d, imm: *imm },
                 Inst::Pool { d, idx } => DInst::Pool { d: *d, idx: *idx },
@@ -581,6 +611,7 @@ pub(crate) fn decode_program(
             };
             insts.push(d);
         }
+        insts.push(DInst::FellOff);
         funs.push(DecodedFun {
             arity: fun.arity,
             variadic: fun.variadic,

@@ -5,6 +5,11 @@
 //! frames recycle their register arrays through a pool, and the instruction
 //! budget is charged before an instruction runs so budgets and counters
 //! always agree.
+//!
+//! There is one dispatch loop.  It reads registers, the constant pool, the
+//! globals, the operand arena and the code without bounds checks, because
+//! decode has proved every such index in range on every load.  Heap
+//! accesses stay checked: their addresses are run-time values.
 
 use crate::counters::Counters;
 use crate::decode::{decode_program, ArgSpan, DInst, DecodedProgram};
@@ -18,10 +23,13 @@ use std::rc::Rc;
 use sxr_ir::rep::{roles, RepId, RepKind, RepRegistry};
 
 /// A load-time bytecode verifier: inspects the whole program and either
-/// blesses it (`Ok`) or rejects it with a structured
-/// [`VmErrorKind::RejectedByVerifier`] error.  A plain function pointer so
-/// [`MachineConfig`] stays `Copy`-friendly and the VM crate needs no
-/// dependency on the analysis crate that implements the standard verifier.
+/// accepts it (`Ok`) or rejects it with a structured
+/// [`VmErrorKind::RejectedByVerifier`] error.  It is a load gate for
+/// dataflow properties decode does not check (def-before-use, GC scan
+/// kinds, handler balance); memory safety of the dispatch loop never
+/// depends on it.  A plain function pointer so [`MachineConfig`] stays
+/// `Copy`-friendly and the VM crate needs no dependency on the analysis
+/// crate that implements the standard verifier.
 pub type VerifierHook = fn(&CodeProgram) -> Result<(), VmError>;
 
 /// Tuning knobs for a [`Machine`].
@@ -35,11 +43,9 @@ pub struct MachineConfig {
     /// Deterministic fault-injection schedule (defaults to none).
     pub fault: FaultPlan,
     /// Load-time bytecode verifier.  When set, [`Machine::new`] runs it
-    /// once: on success the machine executes on the unchecked-access fast
-    /// path (the verifier has proved every register index, jump target,
-    /// and pool/global read in bounds); on failure loading is refused.
-    /// When `None` (the default) the machine stays on the fully checked
-    /// loop, which tolerates arbitrary (decodable) input.
+    /// once after decode and refuses to load a program it rejects.  It
+    /// does not change how the machine runs: decode alone makes every
+    /// decodable program safe to run, with or without a verifier.
     pub verifier: Option<VerifierHook>,
 }
 
@@ -73,6 +79,9 @@ struct Frame {
 #[derive(Debug)]
 struct Handler {
     depth: usize,
+    /// The installing frame's function: decode checked `dst` and `t`
+    /// against this function only.
+    fnid: u32,
     handler: Word,
     dst: Reg,
     t: u32,
@@ -194,9 +203,6 @@ pub struct Machine {
     /// When set, `%write-char` yields [`SuspendReason::HostCall`] after
     /// appending (resumable sessions only; [`Machine::run`] runs through).
     host_yield_output: bool,
-    /// True when a configured [`VerifierHook`] accepted the program at
-    /// load; gates the unchecked-access fast path.
-    verified: bool,
 }
 
 impl Machine {
@@ -207,7 +213,9 @@ impl Machine {
     ///
     /// Returns [`VmErrorKind::BadProgram`] when the program's registry lacks
     /// a role its literals or code require, or when an instruction could
-    /// never execute (e.g. allocation of an immediate representation).
+    /// never execute (e.g. allocation of an immediate representation, or
+    /// any out-of-range index or jump target), and the configured
+    /// verifier's rejection when it refuses the program.
     pub fn new(program: CodeProgram, config: MachineConfig) -> Result<Machine, VmError> {
         let registry = program.registry.clone();
         let need_role = |name: &str| {
@@ -252,15 +260,11 @@ impl Machine {
         };
         let decoded = decode_program(&program, &registry, closure_tag, fixnum)?;
         // The verifier sees the loadable program, of which the decoded
-        // stream is a faithful 1:1 translation; a verified program runs on
-        // the unchecked fast path, a rejected one never starts.
-        let verified = match config.verifier {
-            Some(verify) => {
-                verify(&program)?;
-                true
-            }
-            None => false,
-        };
+        // stream is a faithful 1:1 translation; a rejected program never
+        // starts.
+        if let Some(verify) = config.verifier {
+            verify(&program)?;
+        }
         let ptr_table = registry.pointer_pattern_table();
         let nglobals = program.nglobals;
         let heap_cap = config.fault.effective_cap();
@@ -292,16 +296,9 @@ impl Machine {
             phase: Phase::Ready,
             result: role.unspec_word,
             host_yield_output: false,
-            verified,
         };
         m.build_pool()?;
         Ok(m)
-    }
-
-    /// True when the configured load-time verifier accepted this program
-    /// (the machine is running on the unchecked-access fast path).
-    pub fn is_verified(&self) -> bool {
-        self.verified
     }
 
     fn build_pool(&mut self) -> Result<(), VmError> {
@@ -522,57 +519,37 @@ impl Machine {
         &self.fault
     }
 
-    /// Register read, monomorphized over the fast-path gate.  With
-    /// `V = true` the bounds check is elided: the verifier proved every
-    /// register operand smaller than the function's frame size at load.
+    /// Register read of the active frame, unchecked.
     #[inline(always)]
-    fn r_g<const V: bool>(&self, reg: Reg) -> Word {
-        let f = self.frames.last().expect("active frame");
-        if V {
-            debug_assert!((reg as usize) < f.regs.len(), "verifier missed r{reg}");
-            // SAFETY: the load-time verifier (`bcverify` reg-oob rule)
-            // proved `reg < nregs`, and frames always hold `nregs` words.
-            unsafe { *f.regs.get_unchecked(reg as usize) }
-        } else {
-            f.regs[reg as usize]
-        }
-    }
-
-    #[inline(always)]
-    fn set_r_g<const V: bool>(&mut self, reg: Reg, w: Word) {
-        let f = self.frames.last_mut().expect("active frame");
-        if V {
-            debug_assert!((reg as usize) < f.regs.len(), "verifier missed r{reg}");
-            // SAFETY: as for `r_g`.
-            unsafe {
-                *f.regs.get_unchecked_mut(reg as usize) = w;
-            }
-        } else {
-            f.regs[reg as usize] = w;
-        }
-    }
-
-    /// The operand at position `i` of an arena span.  Spans are built by
-    /// `decode_program` to index the arena it builds, so they are in
-    /// bounds by construction; the verified path elides the recheck.
-    #[inline(always)]
-    fn arg_g<const V: bool>(&self, span: ArgSpan, i: usize) -> Reg {
-        if V {
-            debug_assert!(span.off as usize + i < self.decoded.args.len());
-            // SAFETY: decode builds every span over operands it appended.
-            unsafe { *self.decoded.args.get_unchecked(span.off as usize + i) }
-        } else {
-            self.decoded.args[span.off as usize + i]
-        }
-    }
-
     fn r(&self, reg: Reg) -> Word {
-        self.r_g::<false>(reg)
+        let f = self.frames.last().expect("active frame");
+        debug_assert!((reg as usize) < f.regs.len(), "decode missed r{reg}");
+        // SAFETY: `validate_inst` refused any register operand `>= nregs`
+        // of the function it belongs to, frames always hold `nregs` words
+        // of their own function, and an instruction only ever runs in a
+        // frame of its own function.
+        unsafe { *f.regs.get_unchecked(reg as usize) }
     }
 
-    /// The operand at position `i` of an arena span.
+    /// Register write of the active frame, unchecked.
+    #[inline(always)]
+    fn set_r(&mut self, reg: Reg, w: Word) {
+        let f = self.frames.last_mut().expect("active frame");
+        debug_assert!((reg as usize) < f.regs.len(), "decode missed r{reg}");
+        // SAFETY: as for `r`.
+        unsafe {
+            *f.regs.get_unchecked_mut(reg as usize) = w;
+        }
+    }
+
+    /// The operand at position `i` of an arena span, unchecked.
+    #[inline(always)]
     fn arg(&self, span: ArgSpan, i: usize) -> Reg {
-        self.arg_g::<false>(span, i)
+        debug_assert!(span.off as usize + i < self.decoded.args.len());
+        // SAFETY: `decode_program` builds every span over the operands it
+        // appended to the arena, callers keep `i < span.len`, and
+        // `validate_inst` checked each rep operation's operand count.
+        unsafe { *self.decoded.args.get_unchecked(span.off as usize + i) }
     }
 
     /// Takes a register array from the pool (or allocates one), fully
@@ -634,7 +611,7 @@ impl Machine {
     /// arguments are collected into a library list; space for the pairs is
     /// reserved before any register is read, so a collection here cannot
     /// leave stale copies behind.
-    fn build_frame<const V: bool>(
+    fn build_frame(
         &mut self,
         fnid: u32,
         clo_reg: Reg,
@@ -649,9 +626,9 @@ impl Machine {
                 return Err(self.arity_error(fnid, false, nargs));
             }
             let mut regs = self.take_regs(nregs);
-            regs[0] = self.r_g::<V>(clo_reg);
+            regs[0] = self.r(clo_reg);
             for i in 0..nargs {
-                regs[1 + i] = self.r_g::<V>(self.arg_g::<V>(arg_span, i));
+                regs[1 + i] = self.r(self.arg(arg_span, i));
             }
             return Ok(Frame {
                 fnid,
@@ -691,13 +668,13 @@ impl Machine {
         // Reserve everything up front; reads below see post-GC registers.
         self.ensure_space(3 * extras + 1)?;
         let mut regs = self.take_regs(nregs);
-        regs[0] = self.r_g::<V>(clo_reg);
+        regs[0] = self.r(clo_reg);
         for i in 0..arity {
-            regs[1 + i] = self.r_g::<V>(self.arg_g::<V>(arg_span, i));
+            regs[1 + i] = self.r(self.arg(arg_span, i));
         }
         let mut rest = self.registry.encode_immediate(null, 0);
         for i in (arity..nargs).rev() {
-            let car = self.r_g::<V>(self.arg_g::<V>(arg_span, i));
+            let car = self.r(self.arg(arg_span, i));
             let p = self.alloc_object(2, pair as u16, pair_tag, rest)?;
             let base = (p >> 3) as usize;
             self.heap.set(base + 1, car)?;
@@ -727,7 +704,8 @@ impl Machine {
         // tag) can overwrite it; such an object is simply not a callable
         // procedure, and saying so keeps the error recoverable — important
         // for the verifier's contract that verified programs never reach
-        // `BadProgram` at run time.
+        // `BadProgram` at run time.  The step loop's unchecked fetch relies
+        // on this check for every frame built from a closure.
         if (fnid as usize) >= self.decoded.funs.len() {
             return Err(VmError::new(
                 VmErrorKind::NotAProcedure,
@@ -849,21 +827,10 @@ impl Machine {
         Ok(())
     }
 
-    /// The fetch/decode/execute loop, dispatched once per session slice to
-    /// the monomorphization matching the verifier token: verified programs
-    /// run with access checks elided, everything else stays fully checked.
-    fn step_loop(&mut self) -> Result<StepResult, VmError> {
-        if self.verified {
-            self.step_loop_g::<true>()
-        } else {
-            self.step_loop_g::<false>()
-        }
-    }
-
     /// The fetch/decode/execute loop.  Returns `Done` when the outermost
     /// frame has returned, `Suspended` when the budget ran dry or a host
     /// call yielded; terminal errors move the machine to `Faulted`.
-    fn step_loop_g<const V: bool>(&mut self) -> Result<StepResult, VmError> {
+    fn step_loop(&mut self) -> Result<StepResult, VmError> {
         loop {
             let (fi, pc) = {
                 let Some(top) = self.frames.last_mut() else {
@@ -875,30 +842,14 @@ impl Machine {
                 top.pc += 1;
                 (fi, pc)
             };
-            let inst = if V {
-                debug_assert!(
-                    pc < self.decoded.funs[fi].insts.len(),
-                    "verifier missed a pc"
-                );
-                // SAFETY: `fi` comes from a frame, and frames are built
-                // only for function ids the verifier bounds-checked
-                // (fn-oob rule, `closure_target` validation); the verifier
-                // additionally proved every reachable pc in bounds
-                // (fall-off-end and jump-oob rules), so the fetch cannot
-                // miss.
-                unsafe { *self.decoded.funs.get_unchecked(fi).insts.get_unchecked(pc) }
-            } else {
-                match self.decoded.funs[fi].insts.get(pc) {
-                    Some(&i) => i,
-                    None => {
-                        self.phase = Phase::Faulted;
-                        return Err(VmError::new(
-                            VmErrorKind::BadProgram,
-                            format!("fell off the end of `{}`", self.program.funs[fi].name),
-                        ));
-                    }
-                }
-            };
+            debug_assert!(pc < self.decoded.funs[fi].insts.len(), "decode missed a pc");
+            // SAFETY: `fi` comes from a frame, and frames are built only
+            // for function ids decode bounds-checked (`main`, `CallKnown`,
+            // `MakeClosure`) or `closure_target` validated.  A pc is 0, a
+            // jump or handler target (decode refused any `>= len`), or one
+            // past an executed instruction, at most `len`: the index of the
+            // `FellOff` sentinel decode appended to every function.
+            let inst = unsafe { *self.decoded.funs.get_unchecked(fi).insts.get_unchecked(pc) };
             // The budget is charged before an instruction does anything —
             // including `ResetCounters` — so a limit of N admits exactly N
             // instructions and the counters never record a timed-out one.
@@ -912,12 +863,22 @@ impl Machine {
                 }
                 *rem -= 1;
             }
-            if matches!(inst, DInst::ResetCounters) {
-                self.counters.reset();
-                continue;
+            match inst {
+                DInst::ResetCounters => {
+                    self.counters.reset();
+                    continue;
+                }
+                DInst::FellOff => {
+                    self.phase = Phase::Faulted;
+                    return Err(VmError::new(
+                        VmErrorKind::BadProgram,
+                        format!("fell off the end of `{}`", self.program.funs[fi].name),
+                    ));
+                }
+                _ => {}
             }
             self.counters.count(inst.class());
-            match self.exec_inst::<V>(inst) {
+            match self.exec_inst(inst) {
                 Ok(Exec::Continue) => {}
                 Ok(Exec::Suspend(reason)) => {
                     return Ok(StepResult::Suspended(reason));
@@ -932,66 +893,55 @@ impl Machine {
         }
     }
 
-    /// Executes one (already counted and budgeted) instruction.  `V` is
-    /// the fast-path gate: with a verified program the register, pool,
-    /// global, and operand-arena accesses skip their bounds checks (each
-    /// proved by a verifier rule); heap accesses stay checked in both
-    /// modes — object-level addresses depend on run-time values the
-    /// verifier does not model.
+    /// Executes one (already counted and budgeted) instruction.  Register,
+    /// pool, global, and operand-arena accesses skip their bounds checks
+    /// (each proved by decode); heap accesses stay checked, because their
+    /// addresses are run-time values.
     #[inline]
-    fn exec_inst<const V: bool>(&mut self, inst: DInst) -> Result<Exec, VmError> {
+    fn exec_inst(&mut self, inst: DInst) -> Result<Exec, VmError> {
         match inst {
             DInst::Const { d, imm } => {
-                self.set_r_g::<V>(d, imm);
+                self.set_r(d, imm);
             }
             DInst::Pool { d, idx } => {
-                let w = if V {
-                    debug_assert!((idx as usize) < self.pool.len());
-                    // SAFETY: pool-oob rule — `idx < pool.len()`.
-                    unsafe { *self.pool.get_unchecked(idx as usize) }
-                } else {
-                    self.pool[idx as usize]
-                };
-                self.set_r_g::<V>(d, w);
+                debug_assert!((idx as usize) < self.pool.len());
+                // SAFETY: decode refused `idx >= program.pool.len()`, and a
+                // loaded machine holds one pool word per entry.
+                let w = unsafe { *self.pool.get_unchecked(idx as usize) };
+                self.set_r(d, w);
             }
             DInst::Move { d, s } => {
-                let w = self.r_g::<V>(s);
-                self.set_r_g::<V>(d, w);
+                let w = self.r(s);
+                self.set_r(d, w);
             }
             DInst::Bin { op, d, a, b } => {
-                let (a, b) = (self.r_g::<V>(a), self.r_g::<V>(b));
+                let (a, b) = (self.r(a), self.r(b));
                 let v = self.binop(op, a, b)?;
-                self.set_r_g::<V>(d, v);
+                self.set_r(d, v);
             }
             DInst::BinI { op, d, a, imm } => {
-                let a = self.r_g::<V>(a);
+                let a = self.r(a);
                 let v = self.binop(op, a, imm)?;
-                self.set_r_g::<V>(d, v);
+                self.set_r(d, v);
             }
             DInst::LoadD { d, p, disp } => {
-                let addr = self.r_g::<V>(p).wrapping_add(disp);
+                let addr = self.r(p).wrapping_add(disp);
                 let w = self.heap.get((addr >> 3) as usize)?;
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::LoadX { d, p, x, disp } => {
-                let addr = self
-                    .r_g::<V>(p)
-                    .wrapping_add(self.r_g::<V>(x))
-                    .wrapping_add(disp);
+                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp);
                 let w = self.heap.get((addr >> 3) as usize)?;
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::StoreD { p, disp, s } => {
-                let addr = self.r_g::<V>(p).wrapping_add(disp);
-                let w = self.r_g::<V>(s);
+                let addr = self.r(p).wrapping_add(disp);
+                let w = self.r(s);
                 self.heap.set((addr >> 3) as usize, w)?;
             }
             DInst::StoreX { p, x, disp, s } => {
-                let addr = self
-                    .r_g::<V>(p)
-                    .wrapping_add(self.r_g::<V>(x))
-                    .wrapping_add(disp);
-                let w = self.r_g::<V>(s);
+                let addr = self.r(p).wrapping_add(self.r(x)).wrapping_add(disp);
+                let w = self.r(s);
                 self.heap.set((addr >> 3) as usize, w)?;
             }
             DInst::AllocImm {
@@ -1003,9 +953,9 @@ impl Machine {
             } => {
                 let len = len as usize;
                 self.ensure_space(len + 1)?;
-                let fill = self.r_g::<V>(fill); // after possible GC
+                let fill = self.r(fill); // after possible GC
                 let w = self.alloc_object(len, rep, tag, fill)?;
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::AllocReg {
                 d,
@@ -1014,7 +964,7 @@ impl Machine {
                 rep,
                 tag,
             } => {
-                let len = self.r_g::<V>(len);
+                let len = self.r(len);
                 if !(0..=(1 << 40)).contains(&len) {
                     return Err(VmError::new(
                         VmErrorKind::BadRepOperation,
@@ -1023,45 +973,38 @@ impl Machine {
                 }
                 let len = len as usize;
                 self.ensure_space(len + 1)?;
-                let fill = self.r_g::<V>(fill); // after possible GC
+                let fill = self.r(fill); // after possible GC
                 let w = self.alloc_object(len, rep, tag, fill)?;
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::Jump { t } => {
                 self.frames.last_mut().expect("frame").pc = t as usize;
             }
             DInst::JumpCmpRR { op, a, b, t } => {
-                let (a, b) = (self.r_g::<V>(a), self.r_g::<V>(b));
+                let (a, b) = (self.r(a), self.r(b));
                 if cmp_taken(op, a, b) {
                     self.frames.last_mut().expect("frame").pc = t as usize;
                 }
             }
             DInst::JumpCmpRI { op, a, imm, t } => {
-                let a = self.r_g::<V>(a);
+                let a = self.r(a);
                 if cmp_taken(op, a, imm) {
                     self.frames.last_mut().expect("frame").pc = t as usize;
                 }
             }
             DInst::GlobalGet { d, g } => {
-                let w = if V {
-                    debug_assert!((g as usize) < self.globals.len());
-                    // SAFETY: global-oob rule — `g < nglobals`.
-                    unsafe { *self.globals.get_unchecked(g as usize) }
-                } else {
-                    self.globals[g as usize]
-                };
-                self.set_r_g::<V>(d, w);
+                debug_assert!((g as usize) < self.globals.len());
+                // SAFETY: decode refused `g >= nglobals`, and the machine
+                // holds exactly `nglobals` global slots.
+                let w = unsafe { *self.globals.get_unchecked(g as usize) };
+                self.set_r(d, w);
             }
             DInst::GlobalSet { g, s } => {
-                let w = self.r_g::<V>(s);
-                if V {
-                    debug_assert!((g as usize) < self.globals.len());
-                    // SAFETY: global-oob rule — `g < nglobals`.
-                    unsafe {
-                        *self.globals.get_unchecked_mut(g as usize) = w;
-                    }
-                } else {
-                    self.globals[g as usize] = w;
+                let w = self.r(s);
+                debug_assert!((g as usize) < self.globals.len());
+                // SAFETY: as for `GlobalGet`.
+                unsafe {
+                    *self.globals.get_unchecked_mut(g as usize) = w;
                 }
             }
             DInst::MakeClosure { d, free, tag, code } => {
@@ -1070,44 +1013,44 @@ impl Machine {
                 let w = self.alloc_object(n + 1, self.role.closure as u16, tag, code)?;
                 let base = (w >> 3) as usize;
                 for i in 0..n {
-                    let v = self.r_g::<V>(self.arg_g::<V>(free, i));
+                    let v = self.r(self.arg(free, i));
                     self.heap.set(base + 2 + i, v)?;
                 }
-                self.set_r_g::<V>(d, w);
+                self.set_r(d, w);
             }
             DInst::ClosureSet { clo, idx, val } => {
-                let base = (self.r_g::<V>(clo) >> 3) as usize;
-                let v = self.r_g::<V>(val);
+                let base = (self.r(clo) >> 3) as usize;
+                let v = self.r(val);
                 self.heap.set(base + 2 + idx as usize, v)?;
             }
             DInst::Call { d, f, args } => {
-                let fnid = self.closure_target(self.r_g::<V>(f))?;
+                let fnid = self.closure_target(self.r(f))?;
                 self.counters.calls += 1;
-                let frame = self.build_frame::<V>(fnid, f, args, d)?;
+                let frame = self.build_frame(fnid, f, args, d)?;
                 self.frames.push(frame);
             }
             DInst::CallKnown { d, f, clo, args } => {
                 self.counters.calls += 1;
-                let frame = self.build_frame::<V>(f, clo, args, d)?;
+                let frame = self.build_frame(f, clo, args, d)?;
                 self.frames.push(frame);
             }
             DInst::TailCall { f, args } => {
-                let fnid = self.closure_target(self.r_g::<V>(f))?;
+                let fnid = self.closure_target(self.r(f))?;
                 self.counters.calls += 1;
                 let ret_dst = self.frames.last().expect("frame").ret_dst;
-                let frame = self.build_frame::<V>(fnid, f, args, ret_dst)?;
+                let frame = self.build_frame(fnid, f, args, ret_dst)?;
                 let old = std::mem::replace(self.frames.last_mut().expect("frame"), frame);
                 self.recycle_regs(old.regs);
             }
             DInst::TailCallKnown { f, clo, args } => {
                 self.counters.calls += 1;
                 let ret_dst = self.frames.last().expect("frame").ret_dst;
-                let frame = self.build_frame::<V>(f, clo, args, ret_dst)?;
+                let frame = self.build_frame(f, clo, args, ret_dst)?;
                 let old = std::mem::replace(self.frames.last_mut().expect("frame"), frame);
                 self.recycle_regs(old.regs);
             }
             DInst::Ret { s } => {
-                let v = self.r_g::<V>(s);
+                let v = self.r(s);
                 let frame = self.frames.pop().expect("frame");
                 match self.frames.last_mut() {
                     Some(caller) => caller.regs[frame.ret_dst as usize] = v,
@@ -1117,15 +1060,15 @@ impl Machine {
             }
             DInst::Rep { op, d, args } => {
                 let v = self.rep_generic(op, args)?;
-                self.set_r_g::<V>(d, v);
+                self.set_r(d, v);
             }
             DInst::Intern { d, s } => {
-                let sval = self.r_g::<V>(s);
+                let sval = self.r(s);
                 let sym = self.intern_value(sval)?;
-                self.set_r_g::<V>(d, sym);
+                self.set_r(d, sym);
             }
             DInst::WriteChar { s } => {
-                let w = self.r_g::<V>(s);
+                let w = self.r(s);
                 let char_rep = self.registry.role(roles::CHAR).ok_or_else(|| {
                     VmError::new(VmErrorKind::BadProgram, "no `char` representation role")
                 })?;
@@ -1136,7 +1079,7 @@ impl Machine {
                 }
             }
             DInst::ErrorOp { s } => {
-                let w = self.r_g::<V>(s);
+                let w = self.r(s);
                 self.pending_trap = Some(PendingTrap::Payload(w));
                 return Err(VmError::new(
                     VmErrorKind::SchemeError,
@@ -1146,7 +1089,8 @@ impl Machine {
             DInst::PushHandler { h, d, t } => {
                 self.handlers.push(Handler {
                     depth: self.frames.len(),
-                    handler: self.r_g::<V>(h),
+                    fnid: self.frames.last().expect("frame").fnid,
+                    handler: self.r(h),
                     dst: d,
                     t,
                 });
@@ -1160,14 +1104,14 @@ impl Machine {
                 }
             }
             DInst::RaiseOp { s } => {
-                let w = self.r_g::<V>(s);
+                let w = self.r(s);
                 self.pending_trap = Some(PendingTrap::Reraise(w));
                 return Err(VmError::new(
                     VmErrorKind::UncaughtCondition,
                     format!("uncaught condition: {}", self.describe(w)),
                 ));
             }
-            DInst::ResetCounters => unreachable!("handled before counting"),
+            DInst::ResetCounters | DInst::FellOff => unreachable!("handled before counting"),
         }
         Ok(Exec::Continue)
     }
@@ -1197,11 +1141,18 @@ impl Machine {
             return Err(e);
         }
         // Innermost handler whose frame is still live (hand-built code can
-        // return past a PushHandler; such stale entries are discarded).
+        // return past a PushHandler; such stale entries are discarded).  The
+        // frame at the install depth must run the installing function:
+        // decode checked the handler's `dst` and `t` against that function
+        // alone.
         let h = loop {
             match self.handlers.pop() {
                 None => return Err(e),
-                Some(h) if h.depth <= self.frames.len() => break h,
+                Some(h)
+                    if h.depth <= self.frames.len() && self.frames[h.depth - 1].fnid == h.fnid =>
+                {
+                    break h
+                }
                 Some(_) => continue,
             }
         };

@@ -1,11 +1,14 @@
-//! Regression tests for the load-time structural checks that used to be
-//! `debug_assert`s (or release-build panics): every one of these programs
-//! must be refused with a structured `BadProgram` error in *all* build
-//! profiles, before a single instruction runs.
+//! Regression tests for decode's structural checks, which the dispatch
+//! loop's unchecked accesses rely on.  Every one of these programs must end
+//! in a structured `BadProgram` error in *all* build profiles, whether or
+//! not a verifier is installed: most are refused before a single
+//! instruction runs, and a program that falls off the end of a function
+//! stops at decode's sentinel.
 
 use sxr_ir::rep::RepRegistry;
 use sxr_vm::{
-    CodeFun, CodeProgram, Heap, Inst, Machine, MachineConfig, RegImm, RepVmOp, VmErrorKind,
+    CmpOp, CodeFun, CodeProgram, Heap, Inst, Machine, MachineConfig, RegImm, RepVmOp, VerifierHook,
+    VmError, VmErrorKind,
 };
 
 fn boot_registry() -> RepRegistry {
@@ -168,6 +171,212 @@ fn frame_too_small_for_parameters() {
     let mut f = fun(1, vec![Inst::Ret { s: 0 }]);
     f.arity = 2; // needs closure + 2 params = 3 registers
     assert_load_rejected(program(vec![f]), "register");
+}
+
+/// What loading and running one crafted program must produce.
+enum Expect {
+    /// `Machine::new` refuses it with `BadProgram` naming this text.
+    LoadRejected(&'static str),
+    /// It loads, and the run stops with `BadProgram` naming this text.
+    RunFault(&'static str),
+}
+
+fn jump_cmp(t: u32) -> Inst {
+    Inst::JumpCmp {
+        op: CmpOp::Eq,
+        a: 1,
+        b: RegImm::Imm(0),
+        t,
+    }
+}
+
+fn callee() -> CodeFun {
+    let mut f = fun(1, vec![Inst::Ret { s: 0 }]);
+    f.name = "callee".into();
+    f
+}
+
+/// Programs whose instruction fetch would leave the code: out-of-range
+/// targets are refused by decode, and falling through the last instruction
+/// reaches decode's sentinel.  The dispatch loop fetches unchecked, so none
+/// of these may depend on a verifier having looked first.
+fn fetch_cases() -> Vec<(&'static str, CodeProgram, Expect)> {
+    use Expect::*;
+    let one = |insts| program(vec![fun(3, insts)]);
+    vec![
+        (
+            "jump far past the end",
+            one(vec![Inst::Jump { t: 1000 }]),
+            LoadRejected("jump target 1000"),
+        ),
+        (
+            "jump to one past the last instruction",
+            one(vec![Inst::Jump { t: 2 }, Inst::Ret { s: 0 }]),
+            LoadRejected("jump target 2"),
+        ),
+        (
+            "compare-and-branch past the end",
+            one(vec![
+                Inst::Const { d: 1, imm: 0 },
+                jump_cmp(3),
+                Inst::Ret { s: 1 },
+            ]),
+            LoadRejected("jump target 3"),
+        ),
+        (
+            "handler target past the end",
+            one(vec![
+                Inst::PushHandler { h: 0, d: 1, t: 77 },
+                Inst::PopHandler,
+                Inst::Ret { s: 0 },
+            ]),
+            LoadRejected("jump target 77"),
+        ),
+        (
+            "empty function",
+            one(vec![]),
+            RunFault("fell off the end of `main`"),
+        ),
+        (
+            "falls through its last instruction",
+            one(vec![Inst::Const { d: 1, imm: 0 }]),
+            RunFault("fell off the end of `main`"),
+        ),
+        (
+            "branch falls through to the end",
+            one(vec![Inst::Const { d: 1, imm: 8 }, jump_cmp(0)]),
+            RunFault("fell off the end of `main`"),
+        ),
+        (
+            "known call as the last instruction",
+            program(vec![
+                fun(
+                    3,
+                    vec![Inst::CallKnown {
+                        d: 1,
+                        f: 1,
+                        clo: 0,
+                        args: vec![],
+                    }],
+                ),
+                callee(),
+            ]),
+            RunFault("fell off the end of `main`"),
+        ),
+        (
+            "closure call as the last instruction",
+            program(vec![
+                fun(
+                    3,
+                    vec![
+                        Inst::MakeClosure {
+                            d: 1,
+                            f: 1,
+                            free: vec![],
+                        },
+                        Inst::Call {
+                            d: 2,
+                            f: 1,
+                            args: vec![],
+                        },
+                    ],
+                ),
+                callee(),
+            ]),
+            RunFault("fell off the end of `main`"),
+        ),
+    ]
+}
+
+/// A hook that accepts everything: the machine must stay safe when the
+/// installed verifier proves nothing.
+fn lying_hook(_: &CodeProgram) -> Result<(), VmError> {
+    Ok(())
+}
+
+#[test]
+fn out_of_code_fetches_are_structured_errors_with_or_without_a_verifier() {
+    for verifier in [None, Some(lying_hook as VerifierHook)] {
+        for (what, prog, expect) in fetch_cases() {
+            let config = MachineConfig {
+                instruction_limit: Some(10_000),
+                verifier,
+                ..MachineConfig::default()
+            };
+            let hook = if verifier.is_some() {
+                "lying hook"
+            } else {
+                "no verifier"
+            };
+            let (err, needle) = match (Machine::new(prog, config), expect) {
+                (Err(e), Expect::LoadRejected(needle)) => (e, needle),
+                (Ok(mut m), Expect::RunFault(needle)) => (m.run().unwrap_err(), needle),
+                (Ok(_), Expect::LoadRejected(_)) => panic!("{what} ({hook}): loaded"),
+                (Err(e), Expect::RunFault(_)) => panic!("{what} ({hook}): load failed: {e}"),
+            };
+            assert_eq!(err.kind, VmErrorKind::BadProgram, "{what} ({hook}): {err}");
+            assert!(
+                err.message.contains(needle),
+                "{what} ({hook}): message {:?} lacks {needle:?}",
+                err.message
+            );
+        }
+    }
+}
+
+#[test]
+fn stale_handler_never_resumes_another_function() {
+    // `installer` leaks a handler (pc 4 is in range for it) and returns;
+    // `raiser` then runs at the same frame depth and raises.  Delivering
+    // there would resume `raiser` at pc 4, past its end; the stale handler
+    // is discarded instead and the raise is uncaught.
+    let named = |name: &str, arity, nregs, insts| {
+        let mut f = fun(nregs, insts);
+        f.name = name.into();
+        f.arity = arity;
+        f
+    };
+    let call = |f| Inst::CallKnown {
+        d: 1,
+        f,
+        clo: 0,
+        args: vec![],
+    };
+    for verifier in [None, Some(lying_hook as VerifierHook)] {
+        let prog = program(vec![
+            named("main", 0, 3, vec![call(1), call(2), Inst::Ret { s: 1 }]),
+            named(
+                "installer",
+                0,
+                3,
+                vec![
+                    Inst::MakeClosure {
+                        d: 1,
+                        f: 3,
+                        free: vec![],
+                    },
+                    Inst::PushHandler { h: 1, d: 2, t: 4 },
+                    Inst::Ret { s: 0 },
+                    Inst::Ret { s: 0 },
+                    Inst::Ret { s: 2 },
+                ],
+            ),
+            named(
+                "raiser",
+                0,
+                2,
+                vec![Inst::Const { d: 1, imm: 0 }, Inst::RaiseOp { s: 1 }],
+            ),
+            named("handler", 1, 2, vec![Inst::Ret { s: 1 }]),
+        ]);
+        let config = MachineConfig {
+            instruction_limit: Some(10_000),
+            verifier,
+            ..MachineConfig::default()
+        };
+        let err = Machine::new(prog, config).unwrap().run().unwrap_err();
+        assert_eq!(err.kind, VmErrorKind::UncaughtCondition, "{err}");
+    }
 }
 
 #[test]

@@ -333,11 +333,11 @@ fn resumption_composes_with_fault_plans() {
 fn verified_corpus_never_degrades_to_program_or_memory_faults() {
     // The bytecode-verifier soundness oracle.  Part one: every corpus
     // program verifies cleanly, so the machines the sweeps construct all
-    // run on the unchecked fast path.  Part two: no fault schedule or
-    // fuel slicing can then surface a `bad-program` or `bad-memory-access`
-    // error — those labels are reserved for programs the verifier rejects
-    // at load, and seeing one from verified code means an unchecked step
-    // went somewhere the verifier claimed it never could.
+    // load.  Part two: no fault schedule or fuel slicing can then surface
+    // a `bad-program` or `bad-memory-access` error — those labels are
+    // reserved for programs the load checks refuse, and seeing one from
+    // verified code means a step went somewhere decode and the verifier
+    // claimed it never could.
     let targets = targets();
     for t in targets {
         let report = t.compiled.verify_bytecode();

@@ -24,9 +24,18 @@
 //! seeded stream: suspension points land at arbitrary instruction
 //! boundaries, and the resumed outcome (value, output, every counter) must
 //! be bitwise identical to the uninterrupted run.
+//!
+//! A second battery mutates compiled bytecode instead of source: one
+//! operand of one benchmark-corpus program per case, loaded with no
+//! verifier.  The dispatch loop skips every bounds check decode proves, so
+//! whatever decode accepts must run to a value or a structured error.
 
+use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use sxr::report::run_resumable_with;
 use sxr::{Compiler, FaultPlan, PipelineConfig};
+use sxr_bench::{measured_configs, BENCHMARKS};
+use sxr_vm::{CodeProgram, Inst, Machine, MachineConfig, Reg, RegImm};
 
 /// Deterministic xorshift64* PRNG — the sequence is fixed per seed, so every
 /// CI run tests the same programs and failures reproduce exactly.
@@ -425,8 +434,8 @@ fn pipelines_agree_on_random_programs() {
             });
             // Load-time verification oracle: every compiler-produced
             // program must pass the bytecode verifier — a rejection is a
-            // codegen (or verifier) bug, and would force the machine off
-            // its unchecked fast path.
+            // codegen (or verifier) bug, and the machine would refuse to
+            // load it.
             let vreport = compiled.verify_bytecode();
             assert!(
                 vreport.is_clean(),
@@ -504,4 +513,200 @@ fn pipelines_agree_on_random_programs() {
             );
         }
     }
+}
+
+/// Mutation cases per `SXR_FUZZ_ITERS` unit.
+const MUTATIONS_PER_ITER: usize = 8;
+
+/// Every register field of `inst`, for in-place mutation.
+fn reg_fields(inst: &mut Inst) -> Vec<&mut Reg> {
+    let mut out: Vec<&mut Reg> = Vec::new();
+    match inst {
+        Inst::Const { d, .. } | Inst::Pool { d, .. } | Inst::GlobalGet { d, .. } => out.push(d),
+        Inst::Move { d, s } | Inst::Intern { d, s } => out.extend([d, s]),
+        Inst::Bin { d, a, b, .. } => out.extend([d, a, b]),
+        Inst::BinI { d, a, .. } => out.extend([d, a]),
+        Inst::LoadD { d, p, .. } => out.extend([d, p]),
+        Inst::LoadX { d, p, x, .. } => out.extend([d, p, x]),
+        Inst::StoreD { p, s, .. } => out.extend([p, s]),
+        Inst::StoreX { p, x, s, .. } => out.extend([p, x, s]),
+        Inst::AllocFill { d, len, fill, .. } => {
+            out.extend([d, fill]);
+            if let RegImm::Reg(r) = len {
+                out.push(r);
+            }
+        }
+        Inst::JumpCmp { a, b, .. } => {
+            out.push(a);
+            if let RegImm::Reg(r) = b {
+                out.push(r);
+            }
+        }
+        Inst::GlobalSet { s, .. }
+        | Inst::Ret { s }
+        | Inst::WriteChar { s }
+        | Inst::ErrorOp { s }
+        | Inst::RaiseOp { s } => out.push(s),
+        Inst::MakeClosure { d, free, .. } => {
+            out.push(d);
+            out.extend(free.iter_mut());
+        }
+        Inst::ClosureSet { clo, val, .. } => out.extend([clo, val]),
+        Inst::Call { d, f, args } => {
+            out.extend([d, f]);
+            out.extend(args.iter_mut());
+        }
+        Inst::CallKnown { d, clo, args, .. } => {
+            out.extend([d, clo]);
+            out.extend(args.iter_mut());
+        }
+        Inst::TailCall { f, args } => {
+            out.push(f);
+            out.extend(args.iter_mut());
+        }
+        Inst::TailCallKnown { clo, args, .. } => {
+            out.push(clo);
+            out.extend(args.iter_mut());
+        }
+        Inst::Rep { d, args, .. } => {
+            out.push(d);
+            out.extend(args.iter_mut());
+        }
+        Inst::PushHandler { h, d, .. } => out.extend([h, d]),
+        Inst::Jump { .. } | Inst::PopHandler | Inst::ResetCounters => {}
+    }
+    out
+}
+
+/// A value near `bound`: two times in three in range, otherwise up to
+/// three past it, so most mutants load and the rest probe decode's bounds.
+fn near(rng: &mut Rng, bound: usize) -> usize {
+    if rng.below(3) == 0 {
+        bound + rng.below(4)
+    } else {
+        rng.below(bound.max(1))
+    }
+}
+
+/// Mutates one operand of `prog` of the kind `kind` selects, returning a
+/// description, or `None` when the randomly picked site has no such
+/// operand (the caller retries).  Three sites in four are in `hot`
+/// functions, which the program certainly runs.
+fn mutate(prog: &mut CodeProgram, hot: &[usize], kind: usize, rng: &mut Rng) -> Option<String> {
+    let (npool, nglobals, nfuns) = (prog.pool.len(), prog.nglobals, prog.funs.len());
+    let fi = if rng.below(4) == 0 {
+        rng.below(nfuns)
+    } else {
+        hot[rng.below(hot.len())]
+    };
+    let fun = &mut prog.funs[fi];
+    let name = fun.name.clone();
+    if kind == 5 {
+        return Some(if rng.bool() {
+            fun.nregs = near(rng, fun.nregs);
+            format!("`{name}`: nregs := {}", fun.nregs)
+        } else {
+            fun.arity = near(rng, fun.arity);
+            format!("`{name}`: arity := {}", fun.arity)
+        });
+    }
+    if fun.insts.is_empty() {
+        return None;
+    }
+    let (len, nregs) = (fun.insts.len(), fun.nregs);
+    let pc = rng.below(len);
+    let inst = &mut fun.insts[pc];
+    let site = format!("`{name}` pc {pc}");
+    match (kind, inst) {
+        (0, inst) => {
+            let mut fields = reg_fields(inst);
+            if fields.is_empty() {
+                return None;
+            }
+            let i = rng.below(fields.len());
+            *fields[i] = near(rng, nregs) as Reg;
+            Some(format!("{site}: register operand {i} := r{}", fields[i]))
+        }
+        (1, Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. }) => {
+            *t = near(rng, len) as u32;
+            Some(format!("{site}: target := {t}"))
+        }
+        (2, Inst::Pool { idx, .. }) => {
+            *idx = near(rng, npool) as u32;
+            Some(format!("{site}: pool index := {idx}"))
+        }
+        (3, Inst::GlobalGet { g, .. } | Inst::GlobalSet { g, .. }) => {
+            *g = near(rng, nglobals) as u32;
+            Some(format!("{site}: global := {g}"))
+        }
+        (
+            4,
+            Inst::MakeClosure { f, .. } | Inst::CallKnown { f, .. } | Inst::TailCallKnown { f, .. },
+        ) => {
+            *f = near(rng, nfuns) as u32;
+            Some(format!("{site}: function id := {f}"))
+        }
+        _ => None,
+    }
+}
+
+#[test]
+fn mutated_bytecode_runs_to_a_value_or_a_structured_error() {
+    let seed = fuzz_seed();
+    let mut rng = Rng::new(seed);
+    // Each corpus program with its hot functions: `main` plus every
+    // function the prelude alone does not define, i.e. the benchmark's own.
+    let mut corpus: Vec<(String, CodeProgram, Vec<usize>)> = Vec::new();
+    for (label, cfg) in measured_configs() {
+        let compiler = Compiler::new(cfg);
+        let prelude = compiler.compile("0").expect("prelude compiles").code;
+        let prelude_names: HashSet<&str> = prelude.funs.iter().map(|f| f.name.as_str()).collect();
+        for b in BENCHMARKS {
+            let code = compiler
+                .compile(b.source)
+                .unwrap_or_else(|e| panic!("{}/{label}: compile failed: {e}", b.name))
+                .code;
+            let hot = (0..code.funs.len())
+                .filter(|&i| {
+                    i == code.main as usize || !prelude_names.contains(code.funs[i].name.as_str())
+                })
+                .collect();
+            corpus.push((format!("{}/{label}", b.name), code, hot));
+        }
+    }
+    let (mut loaded, mut values) = (0usize, 0usize);
+    let cases = fuzz_iters() * MUTATIONS_PER_ITER;
+    for case in 0..cases {
+        let (target, original, hot) = &corpus[rng.below(corpus.len())];
+        let kind = rng.below(6);
+        let mut prog = original.clone();
+        let what = loop {
+            if let Some(what) = mutate(&mut prog, hot, kind, &mut rng) {
+                break what;
+            }
+        };
+        let config = MachineConfig {
+            heap_words: 1 << 14,
+            instruction_limit: Some(200_000),
+            fault: FaultPlan::none().with_heap_cap_words(1 << 20),
+            verifier: None,
+        };
+        // Any `VmError` is a structured outcome; only a panic fails.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut m = Machine::new(prog, config).ok()?;
+            Some(m.run().map(|w| m.describe(w)))
+        }));
+        match outcome {
+            Ok(None) => {}
+            Ok(Some(run)) => {
+                loaded += 1;
+                values += usize::from(run.is_ok());
+            }
+            Err(_) => panic!(
+                "mutation case {case} ({target}, {what}) panicked\n{}",
+                repro(seed, case / MUTATIONS_PER_ITER)
+            ),
+        }
+    }
+    eprintln!("bytecode mutations: {cases} cases, {loaded} loaded, {values} ran to a value");
 }
