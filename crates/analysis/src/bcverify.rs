@@ -2,12 +2,20 @@
 //!
 //! [`verify_program`] runs a dataflow analysis over a loadable
 //! [`CodeProgram`] and either accepts it or rejects it with a
-//! `{fun, pc, rule}`-addressed [`Rejection`].  The design follows the JVM verifier: per-function
-//! abstract interpretation to a fixpoint over the control-flow graph, with
-//! purely structural checks (index bounds) applied to *every* instruction
-//! and dataflow rules applied to *reachable* instructions only (compiled
+//! `{fun, pc, rule}`-addressed [`Rejection`].  The design follows the JVM
+//! verifier: per-function abstract interpretation to a fixpoint over the
+//! control-flow graph, applied to *reachable* instructions only (compiled
 //! code legitimately carries unreachable tails after `ErrorOp`/`RaiseOp`
 //! terminators).
+//!
+//! Structure is not this module's business.  Every bounds and role fact a
+//! load relies on (register, jump, pool, global, function and
+//! representation indices, operand and capture counts, boot roles) is
+//! owned by [`sxr_vm::check_program`], which every `Machine::new` runs.
+//! The verifier runs that same check first and reports its error as one
+//! [`Rule::Malformed`] rejection; the dataflow pass only ever sees a
+//! program the check accepted, so it indexes frames, code and the pool
+//! without re-checking.
 //!
 //! # The abstract domain
 //!
@@ -29,9 +37,8 @@
 //!
 //! # What is proved, and what is trusted
 //!
-//! The verifier proves: every read register was written on every path;
-//! every jump lands inside its function; every pool/global/function/
-//! representation index is in bounds; memory bases are never raw words;
+//! The verifier proves, over a structurally checked program: every read
+//! register was written on every path; memory bases are never raw words;
 //! provably tagged values never land in registers or closure slots the GC
 //! is told not to scan; and the handler stack is balanced — never popped
 //! below zero, path-consistent at joins, and empty at returns and tail
@@ -42,48 +49,34 @@
 //! inject sequences produce tagged-valid words the verifier cannot
 //! distinguish from arbitrary arithmetic), and heap loads/stores stay
 //! bounds-checked at run time.
-//!
-//! The structural bounds rules overlap the VM's decode checks, which run
-//! on every load and are what the dispatch loop's unchecked register,
-//! fetch, and pool/global accesses rely on.  The verifier is a load gate
-//! for the dataflow rules: def-before-use, GC scan kinds, and handler
-//! balance.
 
 use std::fmt;
 
 use crate::lattice::TagSet;
 use sxr_ir::rep::{roles, RepId, RepRegistry};
-use sxr_vm::{CodeFun, CodeProgram, Inst, PoolEntry, Reg, RegImm, RepVmOp, VmError};
+use sxr_vm::{check_program, CodeFun, CodeProgram, Inst, PoolEntry, Reg, RegImm, RepVmOp, VmError};
 
 /// The verifier's rule set.  Every rejection names exactly one rule; the
 /// [`Rule::label`] strings are stable — tests, the CLI, and
 /// `VmErrorKind::RejectedByVerifier` all key on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// A register operand is outside the function's frame.
-    RegOob,
-    /// A jump, branch, or handler resume target is outside the function.
-    JumpOob,
-    /// A constant-pool index is out of bounds (or a pool entry references
-    /// an unknown representation).
-    PoolOob,
-    /// A global index is out of bounds.
-    GlobalOob,
-    /// A function id (call target, closure code, or entry point) is out of
-    /// bounds.
-    FnOob,
-    /// An allocation that could never execute: immediate representation,
-    /// unknown representation id, or negative static length.
-    BadAlloc,
-    /// Malformed operand structure: wrong `Rep` operand count, or a
-    /// closure capture/patch that does not match the target function's
-    /// free-slot layout.
+    /// The program fails [`sxr_vm::check_program`], the VM's structural
+    /// check (an out-of-range index or target, a wrong operand or capture
+    /// count, an impossible allocation, a missing boot role, ...).  The
+    /// detail is the VM's message; the address is the entry function at
+    /// pc 0.
+    Malformed,
+    /// A `ClosureSet` patches a free slot the target closure's function
+    /// does not have.
     BadArgs,
     /// The instruction requires a representation role the registry does
     /// not provide (`char` for `WriteChar`, `pair`/`null` for variadic
-    /// entry, `rep-type` for generic rep operations, ...).
+    /// entry, `rep-type` for generic rep operations, ...).  Boot roles are
+    /// [`Rule::Malformed`] facts.
     MissingRole,
-    /// Execution can fall off the end of the function.
+    /// Execution can fall off the end of the function (an empty function
+    /// falls off at pc 0).
     FallOffEnd,
     /// A register may be read before any write on some path.
     DefBeforeUse,
@@ -114,12 +107,7 @@ impl Rule {
     /// The stable, user-visible name of the rule.
     pub fn label(self) -> &'static str {
         match self {
-            Rule::RegOob => "reg-oob",
-            Rule::JumpOob => "jump-oob",
-            Rule::PoolOob => "pool-oob",
-            Rule::GlobalOob => "global-oob",
-            Rule::FnOob => "fn-oob",
-            Rule::BadAlloc => "bad-alloc",
+            Rule::Malformed => "malformed",
             Rule::BadArgs => "bad-args",
             Rule::MissingRole => "missing-role",
             Rule::FallOffEnd => "fall-off-end",
@@ -140,7 +128,7 @@ impl Rule {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rejection {
     /// Index of the function containing the violation (the entry function
-    /// for program-level problems).
+    /// for a [`Rule::Malformed`] program).
     pub fun: u32,
     /// Instruction offset of the violation within that function.
     pub pc: u32,
@@ -166,13 +154,15 @@ impl fmt::Display for Rejection {
 /// The outcome of verifying a whole program.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
-    /// All rejections found, in (function, pc) order.  Structural problems
-    /// are collected exhaustively; each function additionally reports at
-    /// most one dataflow violation (analysis of that function stops there).
+    /// All rejections found, in function order.  A program that fails the
+    /// VM's structural check gets exactly one [`Rule::Malformed`]
+    /// rejection and no dataflow analysis; otherwise each function reports
+    /// at most one dataflow violation (analysis of that function stops
+    /// there).
     pub rejections: Vec<Rejection>,
-    /// Number of functions analyzed.
+    /// Number of functions analyzed (0 for a malformed program).
     pub funs: usize,
-    /// Total instructions structurally checked.
+    /// Total instructions in the analyzed functions.
     pub insts: usize,
 }
 
@@ -272,17 +262,6 @@ struct AbsState {
     depth: u32,
 }
 
-/// Operand count of a generic representation operation (mirrors the VM's
-/// decode-time check; crafted programs are verified before decode sees
-/// them).
-fn rep_arity(op: RepVmOp) -> usize {
-    match op {
-        RepVmOp::MakeImm | RepVmOp::Set => 4,
-        RepVmOp::MakePtr | RepVmOp::Alloc | RepVmOp::Ref => 3,
-        RepVmOp::Provide | RepVmOp::Inject | RepVmOp::Project | RepVmOp::Test | RepVmOp::Len => 2,
-    }
-}
-
 /// How control leaves an instruction.
 enum Flow {
     /// Falls through to `pc + 1`.
@@ -301,105 +280,34 @@ enum Flow {
     Stop,
 }
 
-/// Verifies `program`, returning every structural problem and (for
-/// structurally sound functions) at most one dataflow violation per
+/// Verifies `program`: one [`Rule::Malformed`] rejection if it fails the
+/// VM's structural check, otherwise at most one dataflow violation per
 /// function.  See the module docs for the exact contract.
 pub fn verify_program(program: &CodeProgram) -> VerifyReport {
     let mut report = VerifyReport::default();
+    if let Err(e) = check_program(program) {
+        report.rejections.push(Rejection {
+            fun: program.main,
+            pc: 0,
+            rule: Rule::Malformed,
+            detail: e.message,
+        });
+        return report;
+    }
     let registry = &program.registry;
-
-    // Program-level prologue: the machine refuses to load without these,
-    // so mirroring the checks keeps "verify-clean implies loadable code".
-    let main = program.main;
-    if (main as usize) >= program.funs.len() {
-        report.rejections.push(Rejection {
-            fun: main,
-            pc: 0,
-            rule: Rule::FnOob,
-            detail: format!(
-                "entry function id {main} out of bounds ({} functions)",
-                program.funs.len()
-            ),
-        });
-        return report;
-    }
-    let missing = |role: &str, why: &str, report: &mut VerifyReport| {
-        report.rejections.push(Rejection {
-            fun: main,
-            pc: 0,
-            rule: Rule::MissingRole,
-            detail: format!("registry provides no `{role}` role ({why})"),
-        });
-    };
-    for role in [roles::FIXNUM, roles::BOOLEAN, roles::UNSPECIFIED] {
-        match registry.role(role) {
-            None => missing(role, "the machine cannot boot", &mut report),
-            Some(id) if registry.info(id).is_pointer() => {
-                report.rejections.push(Rejection {
-                    fun: main,
-                    pc: 0,
-                    rule: Rule::MissingRole,
-                    detail: format!("role `{role}` must be an immediate representation"),
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    match registry.role(roles::CLOSURE) {
-        None => missing(
-            roles::CLOSURE,
-            "procedures are unrepresentable",
-            &mut report,
-        ),
-        Some(id) if !registry.info(id).is_pointer() => {
-            report.rejections.push(Rejection {
-                fun: main,
-                pc: 0,
-                rule: Rule::MissingRole,
-                detail: "role `closure` must be a pointer representation".to_string(),
-            });
-        }
-        Some(_) => {}
-    }
-    for (i, entry) in program.pool.iter().enumerate() {
-        if let PoolEntry::Rep(rid) = entry {
-            if (*rid as usize) >= registry.len() {
-                report.rejections.push(Rejection {
-                    fun: main,
-                    pc: 0,
-                    rule: Rule::PoolOob,
-                    detail: format!("pool entry {i} references unknown representation id {rid}"),
-                });
-            } else if reptype_role(registry).is_none() {
-                missing(
-                    "rep-type",
-                    "the pool holds a first-class representation object",
-                    &mut report,
-                );
-            }
-        }
-    }
-    if !report.rejections.is_empty() {
-        // Without the boot roles the typing rules below have no ground
-        // truth; stop at the program-level report.
-        return report;
-    }
-
+    let ptr_table = registry.pointer_pattern_table();
     report.funs = program.funs.len();
     for (fid, fun) in program.funs.iter().enumerate() {
         report.insts += fun.insts.len();
         let v = FnVerifier {
             program,
             registry,
+            ptr_table,
             fun,
             fid: fid as u32,
         };
-        let before = report.rejections.len();
-        v.structural(&mut report);
-        if report.rejections.len() == before {
-            if let Err(r) = v.dataflow() {
-                report.rejections.push(r);
-            }
+        if let Err(r) = v.dataflow() {
+            report.rejections.push(r);
         }
     }
     report
@@ -413,6 +321,8 @@ fn reptype_role(registry: &RepRegistry) -> Option<RepId> {
 struct FnVerifier<'a> {
     program: &'a CodeProgram,
     registry: &'a RepRegistry,
+    /// Which low-three-bit patterns are pointer tags.
+    ptr_table: [bool; 8],
     fun: &'a CodeFun,
     fid: u32,
 }
@@ -439,202 +349,37 @@ impl<'a> FnVerifier<'a> {
         1 + self.fun.arity + usize::from(self.fun.variadic)
     }
 
-    // ----- structural pass (every instruction, reachable or not) -----
-
-    fn structural(&self, report: &mut VerifyReport) {
-        let fun = self.fun;
-        let len = fun.insts.len();
-        let mut out = |r: Rejection| report.rejections.push(r);
-
-        if fun.insts.is_empty() {
-            out(self.reject(
-                0,
-                Rule::FallOffEnd,
-                "function has no instructions".to_string(),
-            ));
-            return;
-        }
-        if fun.nregs < self.entry_regs() {
-            out(self.reject(
-                0,
-                Rule::RegOob,
-                format!(
-                    "frame of {} register(s) cannot hold closure + {} parameter(s){}",
-                    fun.nregs,
-                    fun.arity,
-                    if fun.variadic { " + rest list" } else { "" }
-                ),
-            ));
-            return;
-        }
-        for r in 0..self.entry_regs() {
-            if !self.ptr(r as Reg) {
-                out(self.reject(
-                    0,
-                    Rule::TaggedIntoRaw,
-                    format!(
-                        "parameter register r{r} holds a tagged value on entry \
-                         but the GC root map marks it unscanned"
-                    ),
-                ));
-            }
-        }
-        if fun.variadic {
-            for role in [roles::PAIR, roles::NULL] {
-                if self.registry.role(role).is_none() {
-                    out(self.reject(
-                        0,
-                        Rule::MissingRole,
-                        format!("variadic entry requires the `{role}` role"),
-                    ));
-                }
-            }
-            if let Some(pair) = self.registry.role(roles::PAIR) {
-                if !self.registry.info(pair).is_pointer() {
-                    out(self.reject(
-                        0,
-                        Rule::MissingRole,
-                        "role `pair` must be a pointer representation".to_string(),
-                    ));
-                }
-            }
-        }
-
-        for (pc, inst) in fun.insts.iter().enumerate() {
-            for r in inst_regs(inst) {
-                if (r as usize) >= fun.nregs {
-                    out(self.reject(
-                        pc,
-                        Rule::RegOob,
-                        format!(
-                            "register r{r} out of bounds (frame has {} registers)",
-                            fun.nregs
-                        ),
-                    ));
-                }
-            }
-            for t in inst_targets(inst) {
-                if (t as usize) >= len {
-                    out(self.reject(
-                        pc,
-                        Rule::JumpOob,
-                        format!("target {t} out of bounds (function has {len} instructions)"),
-                    ));
-                }
-            }
-            match inst {
-                Inst::Const { d, imm } => {
-                    let pattern = (*imm as u64 & 0b111) as usize;
-                    if self.ptr(*d) && self.registry.pointer_pattern_table()[pattern] {
-                        out(self.reject(
-                            pc,
-                            Rule::ConstPtr,
-                            format!(
-                                "constant {imm:#x} carries a pointer tag; the GC \
-                                 would chase a fabricated pointer in r{d}"
-                            ),
-                        ));
-                    }
-                }
-                Inst::Pool { idx, .. } if (*idx as usize) >= self.program.pool.len() => {
-                    out(self.reject(
-                        pc,
-                        Rule::PoolOob,
-                        format!(
-                            "pool index {idx} out of bounds ({} entries)",
-                            self.program.pool.len()
-                        ),
-                    ));
-                }
-                Inst::GlobalGet { g, .. } | Inst::GlobalSet { g, .. }
-                    if (*g as usize) >= self.program.nglobals =>
-                {
-                    out(self.reject(
-                        pc,
-                        Rule::GlobalOob,
-                        format!("global {g} out of bounds ({} slots)", self.program.nglobals),
-                    ));
-                }
-                Inst::MakeClosure { f, free, .. } => match self.program.funs.get(*f as usize) {
-                    None => out(self.reject(
-                        pc,
-                        Rule::FnOob,
-                        format!("closure over unknown function {f}"),
-                    )),
-                    Some(target) => {
-                        if free.len() != target.free_count {
-                            out(self.reject(
-                                pc,
-                                Rule::BadArgs,
-                                format!(
-                                    "closure captures {} value(s) but `{}` \
-                                         declares {} free slot(s)",
-                                    free.len(),
-                                    target.name,
-                                    target.free_count
-                                ),
-                            ));
-                        }
-                    }
-                },
-                Inst::CallKnown { f, .. } | Inst::TailCallKnown { f, .. }
-                    if (*f as usize) >= self.program.funs.len() =>
-                {
-                    out(self.reject(pc, Rule::FnOob, format!("call of unknown function {f}")));
-                }
-                Inst::AllocFill { len: l, rep, .. } => {
-                    if (*rep as usize) >= self.registry.len() {
-                        out(self.reject(
-                            pc,
-                            Rule::BadAlloc,
-                            format!("allocation of unknown representation id {rep}"),
-                        ));
-                    } else if !self.registry.info(*rep).is_pointer() {
-                        out(self.reject(
-                            pc,
-                            Rule::BadAlloc,
-                            format!(
-                                "allocation of immediate representation `{}`",
-                                self.registry.info(*rep).name
-                            ),
-                        ));
-                    }
-                    if let RegImm::Imm(n) = l {
-                        if *n < 0 {
-                            out(self.reject(
-                                pc,
-                                Rule::BadAlloc,
-                                format!("negative allocation length {n}"),
-                            ));
-                        }
-                    }
-                }
-                Inst::Rep { op, args, .. } => {
-                    let want = rep_arity(*op);
-                    if args.len() != want {
-                        out(self.reject(
-                            pc,
-                            Rule::BadArgs,
-                            format!("{op:?} takes {want} operand(s), got {}", args.len()),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
     // ----- dataflow pass (reachable instructions only) -----
 
     fn dataflow(&self) -> Result<(), Rejection> {
         let fun = self.fun;
         let len = fun.insts.len();
+        if len == 0 {
+            return Err(self.reject(
+                0,
+                Rule::FallOffEnd,
+                "function has no instructions".to_string(),
+            ));
+        }
+        // The closure, the parameters and any rest list arrive tagged, so
+        // the root map must scan their registers.
         let mut entry = AbsState {
             regs: vec![Rv::Uninit; fun.nregs],
             depth: 0,
         };
-        for r in entry.regs.iter_mut().take(self.entry_regs()) {
-            *r = Rv::Tagged;
+        for r in 0..self.entry_regs() {
+            self.def(&mut entry, 0, r as Reg, Rv::Tagged)?;
+        }
+        if fun.variadic {
+            let pair = self.need_role(0, roles::PAIR, "variadic entry")?;
+            self.need_role(0, roles::NULL, "variadic entry")?;
+            if !self.registry.info(pair).is_pointer() {
+                return Err(self.reject(
+                    0,
+                    Rule::MissingRole,
+                    "role `pair` must be a pointer representation".to_string(),
+                ));
+            }
         }
         let mut states: Vec<Option<AbsState>> = vec![None; len];
         states[0] = Some(entry);
@@ -784,9 +529,18 @@ impl<'a> FnVerifier<'a> {
     /// returning how control leaves it.
     fn step(&self, pc: usize, inst: &Inst, st: &mut AbsState) -> Result<Flow, Rejection> {
         match inst {
-            Inst::Const { d, .. } => {
-                // `const-ptr` already ruled out pointer patterns in
-                // scanned registers, so a tagged constant is an immediate.
+            Inst::Const { d, imm } => {
+                if self.ptr(*d) && self.ptr_table[(*imm as u64 & 0b111) as usize] {
+                    return Err(self.reject(
+                        pc,
+                        Rule::ConstPtr,
+                        format!(
+                            "constant {imm:#x} carries a pointer tag; the GC \
+                             would chase a fabricated pointer in r{d}"
+                        ),
+                    ));
+                }
+                // A tagged constant is therefore an immediate.
                 self.def(st, pc, *d, self.map_kind(*d))?;
             }
             Inst::Pool { d, idx } => {
@@ -1051,76 +805,6 @@ impl<'a> FnVerifier<'a> {
             ));
         }
         Ok(())
-    }
-}
-
-/// Every register an instruction names (for frame-bounds checking).
-fn inst_regs(inst: &Inst) -> Vec<Reg> {
-    let mut out = Vec::new();
-    let ri = |v: &RegImm, out: &mut Vec<Reg>| {
-        if let RegImm::Reg(r) = v {
-            out.push(*r);
-        }
-    };
-    match inst {
-        Inst::Const { d, .. } => out.push(*d),
-        Inst::Pool { d, .. } => out.push(*d),
-        Inst::Move { d, s } => out.extend([*d, *s]),
-        Inst::Bin { d, a, b, .. } => out.extend([*d, *a, *b]),
-        Inst::BinI { d, a, .. } => out.extend([*d, *a]),
-        Inst::LoadD { d, p, .. } => out.extend([*d, *p]),
-        Inst::LoadX { d, p, x, .. } => out.extend([*d, *p, *x]),
-        Inst::StoreD { p, s, .. } => out.extend([*p, *s]),
-        Inst::StoreX { p, x, s, .. } => out.extend([*p, *x, *s]),
-        Inst::AllocFill { d, len, fill, .. } => {
-            out.extend([*d, *fill]);
-            ri(len, &mut out);
-        }
-        Inst::Jump { .. } | Inst::PopHandler | Inst::ResetCounters => {}
-        Inst::JumpCmp { a, b, .. } => {
-            out.push(*a);
-            ri(b, &mut out);
-        }
-        Inst::GlobalGet { d, .. } => out.push(*d),
-        Inst::GlobalSet { s, .. } => out.push(*s),
-        Inst::MakeClosure { d, free, .. } => {
-            out.push(*d);
-            out.extend(free.iter().copied());
-        }
-        Inst::ClosureSet { clo, val, .. } => out.extend([*clo, *val]),
-        Inst::Call { d, f, args } => {
-            out.extend([*d, *f]);
-            out.extend(args.iter().copied());
-        }
-        Inst::CallKnown { d, clo, args, .. } => {
-            out.extend([*d, *clo]);
-            out.extend(args.iter().copied());
-        }
-        Inst::TailCall { f, args } => {
-            out.push(*f);
-            out.extend(args.iter().copied());
-        }
-        Inst::TailCallKnown { clo, args, .. } => {
-            out.push(*clo);
-            out.extend(args.iter().copied());
-        }
-        Inst::Ret { s } => out.push(*s),
-        Inst::Rep { d, args, .. } => {
-            out.push(*d);
-            out.extend(args.iter().copied());
-        }
-        Inst::Intern { d, s } => out.extend([*d, *s]),
-        Inst::WriteChar { s } | Inst::ErrorOp { s } | Inst::RaiseOp { s } => out.push(*s),
-        Inst::PushHandler { h, d, .. } => out.extend([*h, *d]),
-    }
-    out
-}
-
-/// Every static control-flow target an instruction names.
-fn inst_targets(inst: &Inst) -> Vec<u32> {
-    match inst {
-        Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } => vec![*t],
-        _ => Vec::new(),
     }
 }
 

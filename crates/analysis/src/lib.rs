@@ -20,8 +20,10 @@
 //!    load gate via [`verifier_hook`] and `MachineConfig::verifier`.  It
 //!    proves def-before-use, GC scan kinds and handler balance; a
 //!    rejection names the exact `{fun, pc, rule}` and the machine refuses
-//!    to start.  The VM's memory safety does not rest on it: decode proves
-//!    every access the dispatch loop skips, on every load.
+//!    to start.  Structure is not its job: it runs the VM's own
+//!    `check_program` first (every load runs it too, which is what the
+//!    dispatch loop's memory safety rests on) and reports a refusal as
+//!    one `malformed` rejection.
 //!
 //! The analyzer is deliberately conservative: unknown values (parameters,
 //! call results, closure slots) are `Top`, and only contradictions that hold

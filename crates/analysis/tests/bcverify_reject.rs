@@ -1,6 +1,7 @@
 //! The adversarial rejection corpus: one hand-crafted program per verifier
 //! rule, each asserting the exact `{fun, pc, rule}` address and the stable
-//! rule label the rejection carries.
+//! rule label the rejection carries.  Structural problems belong to the
+//! VM's load check; they share one table of `malformed` programs.
 //!
 //! These are the programs the bytecode verifier exists to refuse — and the
 //! machine-level tests at the bottom prove a rejected program never starts.
@@ -9,7 +10,8 @@ use sxr_analysis::bcverify::build::ProgramBuilder;
 use sxr_analysis::bcverify::{verifier_hook, verify_program, Rejection, Rule};
 use sxr_ir::rep::RepRegistry;
 use sxr_vm::{
-    BinOp, CmpOp, CodeFun, CodeProgram, Inst, Machine, MachineConfig, RegImm, RepVmOp, VmErrorKind,
+    BinOp, CmpOp, CodeFun, CodeProgram, Inst, Machine, MachineConfig, PoolEntry, RegImm, RepVmOp,
+    VmErrorKind,
 };
 
 /// Verifies `prog` and returns the first rejection, asserting there is one.
@@ -37,193 +39,164 @@ fn fx(n: i64) -> i64 {
     n << 3
 }
 
-#[test]
-fn reg_oob() {
-    let prog = ProgramBuilder::new()
-        .fun(
-            "main",
-            0,
-            2,
-            vec![Inst::Move { d: 1, s: 5 }, Inst::Ret { s: 1 }],
-        )
-        .build();
-    assert_rejects(&prog, 0, 0, Rule::RegOob, "reg-oob");
+#[track_caller]
+fn assert_malformed(prog: CodeProgram, needle: &str) {
+    let report = verify_program(&prog);
+    let [r] = report.rejections.as_slice() else {
+        panic!("expected exactly one rejection, got {report}");
+    };
+    assert_eq!(
+        (r.fun, r.pc, r.rule, r.rule.label()),
+        (prog.main, 0, Rule::Malformed, "malformed"),
+        "wrong address/rule: {r}"
+    );
+    // The detail is the VM's own message: the load refuses the same
+    // program, through the same check, with no verifier installed.
+    let load = Machine::new(prog, MachineConfig::default()).unwrap_err();
+    assert_eq!(load.kind, VmErrorKind::BadProgram, "{load}");
+    assert_eq!(r.detail, load.message);
+    assert!(r.detail.contains(needle), "{:?} lacks {needle:?}", r.detail);
 }
 
-#[test]
-fn jump_oob() {
-    let prog = ProgramBuilder::new()
-        .fun("main", 0, 2, vec![Inst::Jump { t: 9 }, Inst::Ret { s: 0 }])
-        .build();
-    assert_rejects(&prog, 0, 0, Rule::JumpOob, "jump-oob");
+/// One `main` function of `nregs` registers over the classic registry.
+fn main_fn(nregs: usize, insts: Vec<Inst>) -> CodeProgram {
+    ProgramBuilder::new().fun("main", 0, nregs, insts).build()
 }
 
-#[test]
-fn branch_target_at_end_is_oob() {
+/// Structural problems: the VM's load check owns them, and the verifier
+/// reports each as exactly one `malformed` rejection at the entry
+/// function's pc 0, carrying the VM's message.
+macro_rules! malformed {
+    ($($name:ident: $prog:expr => $needle:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            assert_malformed($prog, $needle);
+        }
+    )*};
+}
+
+malformed! {
+    reg_oob: main_fn(2, vec![Inst::Move { d: 1, s: 5 }, Inst::Ret { s: 1 }])
+        => "register r5 out of range";
+    jump_oob: main_fn(2, vec![Inst::Jump { t: 9 }, Inst::Ret { s: 0 }])
+        => "jump target 9 out of range";
     // A branch to `insts.len()` would fall off the end at run time; the
     // bound is strict.
-    let prog = ProgramBuilder::new()
-        .fun(
-            "main",
-            0,
-            2,
-            vec![
-                Inst::Const { d: 1, imm: fx(1) },
-                Inst::JumpCmp {
-                    op: CmpOp::Eq,
-                    a: 1,
-                    b: RegImm::Imm(0),
-                    t: 3,
-                },
-                Inst::Ret { s: 1 },
-            ],
-        )
-        .build();
-    assert_rejects(&prog, 0, 1, Rule::JumpOob, "jump-oob");
-}
-
-#[test]
-fn pool_oob() {
-    let prog = ProgramBuilder::new()
-        .fun(
-            "main",
-            0,
-            2,
-            vec![Inst::Pool { d: 1, idx: 4 }, Inst::Ret { s: 1 }],
-        )
-        .build();
-    assert_rejects(&prog, 0, 0, Rule::PoolOob, "pool-oob");
-}
-
-#[test]
-fn global_oob() {
-    let prog = ProgramBuilder::new()
+    branch_target_at_end_is_oob: main_fn(
+        2,
+        vec![
+            Inst::Const { d: 1, imm: fx(1) },
+            Inst::JumpCmp { op: CmpOp::Eq, a: 1, b: RegImm::Imm(0), t: 3 },
+            Inst::Ret { s: 1 },
+        ],
+    ) => "jump target 3 out of range";
+    pool_oob: main_fn(2, vec![Inst::Pool { d: 1, idx: 4 }, Inst::Ret { s: 1 }])
+        => "pool index 4 out of range";
+    global_oob: ProgramBuilder::new()
         .globals(2)
-        .fun(
-            "main",
-            0,
-            2,
-            vec![Inst::GlobalGet { d: 1, g: 3 }, Inst::Ret { s: 1 }],
-        )
-        .build();
-    assert_rejects(&prog, 0, 0, Rule::GlobalOob, "global-oob");
-}
-
-#[test]
-fn fn_oob() {
-    let prog = ProgramBuilder::new()
-        .fun(
-            "main",
-            0,
-            2,
-            vec![
-                Inst::CallKnown {
-                    d: 1,
-                    f: 7,
-                    clo: 0,
-                    args: vec![],
-                },
-                Inst::Ret { s: 1 },
-            ],
-        )
-        .build();
-    assert_rejects(&prog, 0, 0, Rule::FnOob, "fn-oob");
-}
-
-#[test]
-fn bad_alloc_of_immediate_rep() {
+        .fun("main", 0, 2, vec![Inst::GlobalGet { d: 1, g: 3 }, Inst::Ret { s: 1 }])
+        .build() => "global 3 out of range";
+    fn_oob: main_fn(
+        2,
+        vec![Inst::CallKnown { d: 1, f: 7, clo: 0, args: vec![] }, Inst::Ret { s: 1 }],
+    ) => "function id 7 out of range";
     // Representation id 0 is `fixnum` in the classic registry.
-    let prog = ProgramBuilder::new()
+    bad_alloc_of_immediate_rep: main_fn(
+        2,
+        vec![
+            Inst::Const { d: 1, imm: fx(0) },
+            Inst::AllocFill { d: 1, len: RegImm::Imm(2), fill: 1, rep: 0 },
+            Inst::Ret { s: 1 },
+        ],
+    ) => "alloc of immediate representation `fixnum`";
+    bad_alloc_negative_length: main_fn(
+        2,
+        vec![
+            Inst::Const { d: 1, imm: fx(0) },
+            Inst::AllocFill { d: 1, len: RegImm::Imm(-4), fill: 1, rep: 5 }, // pair
+            Inst::Ret { s: 1 },
+        ],
+    ) => "allocation of -4 fields";
+    bad_args_rep_operand_count: main_fn(
+        2,
+        vec![Inst::Rep { op: RepVmOp::Inject, d: 1, args: vec![0] }, Inst::Ret { s: 1 }],
+    ) => "takes 2 operands, got 1";
+    bad_args_closure_capture_mismatch: ProgramBuilder::new()
         .fun(
             "main",
             0,
             2,
             vec![
-                Inst::Const { d: 1, imm: fx(0) },
-                Inst::AllocFill {
-                    d: 1,
-                    len: RegImm::Imm(2),
-                    fill: 1,
-                    rep: 0,
-                },
+                Inst::MakeClosure { d: 1, f: 1, free: vec![0] }, // leaf declares 2 slots
                 Inst::Ret { s: 1 },
             ],
         )
-        .build();
-    assert_rejects(&prog, 0, 1, Rule::BadAlloc, "bad-alloc");
+        .fun_raw(leaf(2))
+        .build() => "closure captures 1 value(s) but `leaf` declares 2 free slot(s)";
+    entry_function_oob: {
+        let mut prog = main_fn(1, vec![Inst::Ret { s: 0 }]);
+        prog.main = 3;
+        prog
+    } => "main function id 3 out of range";
+    pool_rep_of_unknown_id: ProgramBuilder::new()
+        .pool(PoolEntry::Rep(40))
+        .fun("main", 0, 2, vec![Inst::Pool { d: 1, idx: 0 }, Inst::Ret { s: 1 }])
+        .build() => "unknown representation id 40";
+    boot_role_of_wrong_kind: {
+        let mut reg = RepRegistry::new();
+        for (role, bits) in [("fixnum", 0), ("boolean", 0b0000_0010), ("unspecified", 0b0011_0010)] {
+            let id = reg.intern_immediate(role, 8, bits, 8).unwrap();
+            reg.provide_role(role, id).unwrap();
+        }
+        let clo = reg.intern_immediate("closure", 8, 0b0001_0010, 8).unwrap();
+        reg.provide_role("closure", clo).unwrap();
+        ProgramBuilder::new()
+            .registry(reg)
+            .fun("main", 0, 1, vec![Inst::Ret { s: 0 }])
+            .build()
+    } => "role `closure` must be a pointer representation";
 }
 
-#[test]
-fn bad_alloc_negative_length() {
-    let prog = ProgramBuilder::new()
-        .fun(
-            "main",
-            0,
-            2,
-            vec![
-                Inst::Const { d: 1, imm: fx(0) },
-                Inst::AllocFill {
-                    d: 1,
-                    len: RegImm::Imm(-4),
-                    fill: 1,
-                    rep: 5, // pair
-                },
-                Inst::Ret { s: 1 },
-            ],
-        )
-        .build();
-    assert_rejects(&prog, 0, 1, Rule::BadAlloc, "bad-alloc");
-}
-
-#[test]
-fn bad_args_rep_operand_count() {
-    let prog = ProgramBuilder::new()
-        .fun(
-            "main",
-            0,
-            2,
-            vec![
-                Inst::Rep {
-                    op: RepVmOp::Inject,
-                    d: 1,
-                    args: vec![0],
-                },
-                Inst::Ret { s: 1 },
-            ],
-        )
-        .build();
-    assert_rejects(&prog, 0, 0, Rule::BadArgs, "bad-args");
-}
-
-#[test]
-fn bad_args_closure_capture_mismatch() {
-    let leaf = CodeFun {
+/// A leaf function with `free` GC-scanned free slots.
+fn leaf(free: usize) -> CodeFun {
+    CodeFun {
         name: "leaf".into(),
         arity: 0,
         variadic: false,
         nregs: 1,
-        free_count: 2,
+        free_count: free,
         insts: vec![Inst::Ret { s: 0 }],
         ptr_map: vec![true],
-        free_ptr_map: vec![true, true],
-    };
+        free_ptr_map: vec![true; free],
+    }
+}
+
+#[test]
+fn bad_args_closure_patch_out_of_range() {
+    // `leaf` has one free slot; patching slot 1 would write past it.
     let prog = ProgramBuilder::new()
         .fun(
             "main",
             0,
-            2,
+            3,
             vec![
+                Inst::Const { d: 1, imm: fx(0) },
                 Inst::MakeClosure {
-                    d: 1,
+                    d: 2,
                     f: 1,
-                    free: vec![0], // leaf declares 2 slots
+                    free: vec![1],
                 },
-                Inst::Ret { s: 1 },
+                Inst::ClosureSet {
+                    clo: 2,
+                    idx: 1,
+                    val: 1,
+                },
+                Inst::Ret { s: 2 },
             ],
         )
-        .fun_raw(leaf)
+        .fun_raw(leaf(1))
         .build();
-    assert_rejects(&prog, 0, 0, Rule::BadArgs, "bad-args");
+    assert_rejects(&prog, 0, 2, Rule::BadArgs, "bad-args");
 }
 
 #[test]
@@ -508,35 +481,6 @@ fn handler_join_mismatch() {
         Rule::HandlerJoinMismatch,
         "handler-join-mismatch",
     );
-}
-
-#[test]
-fn entry_function_oob() {
-    let mut prog = ProgramBuilder::new()
-        .fun("main", 0, 1, vec![Inst::Ret { s: 0 }])
-        .build();
-    prog.main = 3;
-    assert_rejects(&prog, 3, 0, Rule::FnOob, "fn-oob");
-}
-
-#[test]
-fn structural_problems_are_collected_exhaustively() {
-    let prog = ProgramBuilder::new()
-        .fun(
-            "main",
-            0,
-            2,
-            vec![
-                Inst::Move { d: 1, s: 9 },      // reg-oob
-                Inst::Jump { t: 77 },           // jump-oob
-                Inst::GlobalGet { d: 1, g: 0 }, // global-oob (no globals)
-                Inst::Ret { s: 1 },
-            ],
-        )
-        .build();
-    let report = verify_program(&prog);
-    let rules: Vec<Rule> = report.rejections.iter().map(|r| r.rule).collect();
-    assert_eq!(rules, vec![Rule::RegOob, Rule::JumpOob, Rule::GlobalOob]);
 }
 
 // ----- the machine refuses to start on a rejected program -----

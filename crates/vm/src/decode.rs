@@ -18,17 +18,22 @@
 //! allocation and no borrows of the program during execution.
 //!
 //! Decode is also the proof behind the interpreter's unchecked accesses.
-//! It runs on every load and refuses, as [`VmErrorKind::BadProgram`], any
-//! register, pool, global, function, or representation index out of
-//! range, any wrong operand count, and any jump or handler target outside
-//! its function.  Every function ends in a [`DInst::FellOff`] sentinel, so
-//! falling through the last instruction fetches the sentinel, never memory
-//! past the end.
+//! Every load first runs [`check_program`], the one owner of the
+//! program's structural facts: it refuses, as [`VmErrorKind::BadProgram`],
+//! missing or wrongly kinded boot roles, any register, pool, global,
+//! function, or representation index out of range, any wrong operand or
+//! capture count, and any jump or handler target outside its function.
+//! The bytecode verifier runs the same check before its dataflow pass.
+//! Every function ends in a [`DInst::FellOff`] sentinel, so falling
+//! through the last instruction fetches the sentinel, never memory past
+//! the end.
 
 use crate::error::{VmError, VmErrorKind};
 use crate::heap::Word;
-use crate::inst::{BinOp, CmpOp, CodeFun, CodeProgram, Inst, InstClass, Reg, RegImm, RepVmOp};
-use sxr_ir::rep::{RepId, RepKind, RepRegistry};
+use crate::inst::{
+    BinOp, CmpOp, CodeFun, CodeProgram, Inst, InstClass, PoolEntry, Reg, RegImm, RepVmOp,
+};
+use sxr_ir::rep::{roles, RepId, RepKind, RepRegistry};
 
 /// A span into the shared operand arena ([`DecodedProgram::args`]).
 #[derive(Debug, Clone, Copy)]
@@ -250,6 +255,13 @@ pub(crate) struct DecodedProgram {
     pub funs: Vec<DecodedFun>,
     /// Shared operand arena; indexed via [`ArgSpan`].
     pub args: Vec<Reg>,
+    /// The boot roles the load check resolved.
+    pub roles: BootRoles,
+}
+
+/// A `BadProgram` error with message `msg`.
+fn bad(msg: String) -> VmError {
+    VmError::new(VmErrorKind::BadProgram, msg)
 }
 
 /// Resolves the pointer tag of `rep`, or reports which instruction wanted
@@ -257,20 +269,32 @@ pub(crate) struct DecodedProgram {
 fn pointer_tag(registry: &RepRegistry, rep: RepId, what: &str) -> Result<u64, VmError> {
     match registry.info(rep).kind {
         RepKind::Pointer { tag, .. } => Ok(tag),
-        RepKind::Immediate { .. } => Err(VmError::new(
-            VmErrorKind::BadProgram,
-            format!(
-                "{what} of immediate representation `{}`",
-                registry.info(rep).name
-            ),
-        )),
+        RepKind::Immediate { .. } => Err(bad(format!(
+            "{what} of immediate representation `{}`",
+            registry.info(rep).name
+        ))),
     }
+}
+
+/// Resolves role `name`, which must be a pointer representation when
+/// `pointer` is set and an immediate one otherwise.
+fn boot_role(registry: &RepRegistry, name: &str, pointer: bool) -> Result<RepId, VmError> {
+    let id = registry.role(name).ok_or_else(|| {
+        bad(format!(
+            "library did not provide required representation role `{name}`"
+        ))
+    })?;
+    if registry.info(id).is_pointer() != pointer {
+        let kind = if pointer { "a pointer" } else { "an immediate" };
+        return Err(bad(format!("role `{name}` must be {kind} representation")));
+    }
+    Ok(id)
 }
 
 /// Number of operands each generic representation operation consumes from
 /// its argument list (the machine indexes the arena unchecked by this
-/// count, so decode validates it up front).
-pub(crate) fn rep_op_arity(op: RepVmOp) -> usize {
+/// count, so the load check validates it up front).
+fn rep_op_arity(op: RepVmOp) -> usize {
     match op {
         RepVmOp::MakeImm => 4,
         RepVmOp::MakePtr => 3,
@@ -283,28 +307,20 @@ pub(crate) fn rep_op_arity(op: RepVmOp) -> usize {
 /// Structural validation of one loadable instruction: every register field
 /// is inside the function's frame, every pool/global/function/`RepId` index
 /// is in bounds, every jump and handler target is an instruction of the
-/// function (`< ninsts`), and generic rep operations carry the operand
-/// count the interpreter will read.  The interpreter reads registers, the
-/// pool, the globals, the operand arena and the code unchecked on the
-/// strength of these checks.
-fn validate_inst(
-    program: &CodeProgram,
-    registry: &RepRegistry,
-    fun: &CodeFun,
-    inst: &Inst,
-) -> Result<(), VmError> {
+/// function (`< ninsts`), a closure captures exactly its code's free
+/// slots, a static allocation is of a pointer representation with a
+/// non-negative length, and generic rep operations carry the operand count
+/// the interpreter will read.  The interpreter reads registers, the pool,
+/// the globals, the operand arena and the code unchecked on the strength of
+/// these checks.
+fn validate_inst(program: &CodeProgram, fun: &CodeFun, inst: &Inst) -> Result<(), VmError> {
     let (nregs, ninsts) = (fun.nregs, fun.insts.len());
-    let bad = |what: String| {
-        Err(VmError::new(
-            VmErrorKind::BadProgram,
-            format!("`{}`: {what}", fun.name),
-        ))
-    };
+    let fail = |what: String| Err(bad(format!("`{}`: {what}", fun.name)));
     let reg = |r: Reg| -> Result<(), VmError> {
         if (r as usize) < nregs {
             Ok(())
         } else {
-            bad(format!("register r{r} out of range (frame has {nregs})"))
+            fail(format!("register r{r} out of range (frame has {nregs})"))
         }
     };
     let regs = |list: &[Reg]| -> Result<(), VmError> { list.iter().copied().try_for_each(&reg) };
@@ -318,7 +334,7 @@ fn validate_inst(
         if (idx as usize) < program.pool.len() {
             Ok(())
         } else {
-            bad(format!(
+            fail(format!(
                 "pool index {idx} out of range (pool has {})",
                 program.pool.len()
             ))
@@ -328,7 +344,7 @@ fn validate_inst(
         if (g as usize) < program.nglobals {
             Ok(())
         } else {
-            bad(format!(
+            fail(format!(
                 "global {g} out of range ({} globals)",
                 program.nglobals
             ))
@@ -338,20 +354,19 @@ fn validate_inst(
         if (t as usize) < ninsts {
             Ok(())
         } else {
-            bad(format!(
+            fail(format!(
                 "jump target {t} out of range (function has {ninsts} instructions)"
             ))
         }
     };
-    let fnid = |f: u32| -> Result<(), VmError> {
-        if (f as usize) < program.funs.len() {
-            Ok(())
-        } else {
+    let callee = |f: u32| -> Result<&CodeFun, VmError> {
+        program.funs.get(f as usize).ok_or_else(|| {
             bad(format!(
-                "function id {f} out of range ({} functions)",
+                "`{}`: function id {f} out of range ({} functions)",
+                fun.name,
                 program.funs.len()
             ))
-        }
+        })
     };
     match inst {
         Inst::Const { d, .. } => reg(*d),
@@ -364,13 +379,19 @@ fn validate_inst(
         Inst::StoreD { p, s, .. } => regs(&[*p, *s]),
         Inst::StoreX { p, x, s, .. } => regs(&[*p, *x, *s]),
         Inst::AllocFill { d, len, fill, rep } => {
-            reg(*d)?;
+            regs(&[*d, *fill])?;
             reg_imm(len)?;
-            reg(*fill)?;
-            if (*rep as usize) >= registry.len() {
-                return bad(format!("alloc of unknown representation id {rep}"));
+            if (*rep as usize) >= program.registry.len() {
+                return fail(format!("alloc of unknown representation id {rep}"));
             }
-            Ok(())
+            let info = program.registry.info(*rep);
+            if !info.is_pointer() {
+                return fail(format!("alloc of immediate representation `{}`", info.name));
+            }
+            match len {
+                RegImm::Imm(n) if *n < 0 => fail(format!("allocation of {n} fields")),
+                _ => Ok(()),
+            }
         }
         Inst::Jump { t } => target(*t),
         Inst::JumpCmp { a, b, t, .. } => {
@@ -382,8 +403,17 @@ fn validate_inst(
         Inst::GlobalSet { g, s } => reg(*s).and_then(|()| global(*g)),
         Inst::MakeClosure { d, f, free } => {
             reg(*d)?;
-            fnid(*f)?;
-            regs(free)
+            regs(free)?;
+            let code = callee(*f)?;
+            if free.len() != code.free_count {
+                return fail(format!(
+                    "closure captures {} value(s) but `{}` declares {} free slot(s)",
+                    free.len(),
+                    code.name,
+                    code.free_count
+                ));
+            }
+            Ok(())
         }
         Inst::ClosureSet { clo, val, .. } => regs(&[*clo, *val]),
         Inst::Call { d, f, args } => {
@@ -392,7 +422,7 @@ fn validate_inst(
         }
         Inst::CallKnown { d, f, clo, args } => {
             regs(&[*d, *clo])?;
-            fnid(*f)?;
+            callee(*f)?;
             regs(args)
         }
         Inst::TailCall { f, args } => {
@@ -401,7 +431,7 @@ fn validate_inst(
         }
         Inst::TailCallKnown { f, clo, args } => {
             reg(*clo)?;
-            fnid(*f)?;
+            callee(*f)?;
             regs(args)
         }
         Inst::Ret { s } => reg(*s),
@@ -410,7 +440,7 @@ fn validate_inst(
             regs(args)?;
             let need = rep_op_arity(*op);
             if args.len() != need {
-                return bad(format!(
+                return fail(format!(
                     "rep operation {op:?} takes {need} operands, got {}",
                     args.len()
                 ));
@@ -427,24 +457,91 @@ fn validate_inst(
     }
 }
 
-/// Decodes `program` against its (load-time) registry.  `closure_tag` and
-/// the fixnum role come from the machine's role cache; they are fixed for
-/// the life of the machine.
+/// The representations every machine needs before it runs an instruction,
+/// as resolved by [`check_program`].  Only the check can build one.
+#[derive(Debug, Clone, Copy)]
+pub struct BootRoles {
+    /// The `fixnum` role (an immediate): closure code words, rep ids.
+    pub(crate) fixnum: RepId,
+    /// The `boolean` role (an immediate): `if`'s false value.
+    pub(crate) boolean: RepId,
+    /// The `unspecified` role (an immediate): fresh globals and results.
+    pub(crate) unspecified: RepId,
+    /// The `closure` role (a pointer).
+    pub(crate) closure: RepId,
+    /// The pointer tag of `closure`.
+    pub(crate) closure_tag: u64,
+}
+
+/// The structural check every load runs: the one owner of the bounds and
+/// role facts the dispatch loop and the bytecode verifier's dataflow pass
+/// rely on.
+///
+/// It checks the entry function id; the boot roles (`fixnum`, `boolean`
+/// and `unspecified` immediate, `closure` a pointer); that every
+/// `PoolEntry::Rep` names a registered representation and that a pointer
+/// `rep-type` role exists to box it; that every frame holds the closure,
+/// the parameters and any rest list; and every instruction, reachable or
+/// not, as described at `validate_inst`.
 ///
 /// # Errors
 ///
-/// Returns [`VmErrorKind::BadProgram`] for instructions that could never
-/// execute successfully: an `AllocFill` of an immediate representation or
-/// with a negative static length, any out-of-range register, pool, global,
-/// function, or representation index, any jump or handler target outside
-/// its function, or a generic rep operation with the wrong operand count
-/// (see [`validate_inst`]).
-pub(crate) fn decode_program(
-    program: &CodeProgram,
-    registry: &RepRegistry,
-    closure_tag: u64,
-    fixnum: RepId,
-) -> Result<DecodedProgram, VmError> {
+/// Returns [`VmErrorKind::BadProgram`] naming the first violated fact.
+pub fn check_program(program: &CodeProgram) -> Result<BootRoles, VmError> {
+    let registry = &program.registry;
+    if (program.main as usize) >= program.funs.len() {
+        return Err(bad(format!(
+            "main function id {} out of range ({} functions)",
+            program.main,
+            program.funs.len()
+        )));
+    }
+    let fixnum = boot_role(registry, roles::FIXNUM, false)?;
+    let boolean = boot_role(registry, roles::BOOLEAN, false)?;
+    let unspecified = boot_role(registry, roles::UNSPECIFIED, false)?;
+    let closure = boot_role(registry, roles::CLOSURE, true)?;
+    let closure_tag = pointer_tag(registry, closure, "role `closure`")?;
+    for (i, entry) in program.pool.iter().enumerate() {
+        if let PoolEntry::Rep(rid) = entry {
+            if (*rid as usize) >= registry.len() {
+                return Err(bad(format!(
+                    "pool entry {i} references unknown representation id {rid}"
+                )));
+            }
+            boot_role(registry, "rep-type", true)?;
+        }
+    }
+    for fun in &program.funs {
+        // Frame construction writes the closure register, every parameter
+        // and a variadic function's rest list unconditionally.
+        let min_regs = 1 + fun.arity + usize::from(fun.variadic);
+        if fun.nregs < min_regs {
+            return Err(bad(format!(
+                "`{}`: frame of {} registers cannot hold {} parameters",
+                fun.name, fun.nregs, min_regs
+            )));
+        }
+        for inst in &fun.insts {
+            validate_inst(program, fun, inst)?;
+        }
+    }
+    Ok(BootRoles {
+        fixnum,
+        boolean,
+        unspecified,
+        closure,
+        closure_tag,
+    })
+}
+
+/// Checks `program` (see [`check_program`]) and decodes it.
+///
+/// # Errors
+///
+/// Returns [`check_program`]'s [`VmErrorKind::BadProgram`] error.
+pub(crate) fn decode_program(program: &CodeProgram) -> Result<DecodedProgram, VmError> {
+    let boot = check_program(program)?;
+    let registry = &program.registry;
     let mut args: Vec<Reg> = Vec::new();
     let mut span = |list: &[Reg]| -> ArgSpan {
         let off = args.len() as u32;
@@ -454,30 +551,10 @@ pub(crate) fn decode_program(
             len: list.len() as u16,
         }
     };
-    if (program.main as usize) >= program.funs.len() {
-        return Err(VmError::new(
-            VmErrorKind::BadProgram,
-            format!("main function id {} out of range", program.main),
-        ));
-    }
     let mut funs = Vec::with_capacity(program.funs.len());
     for fun in &program.funs {
-        // The frame must hold the closure register plus every parameter
-        // (and the rest-list register of a variadic function): frame
-        // construction writes them unconditionally.
-        let min_regs = 1 + fun.arity + usize::from(fun.variadic);
-        if fun.nregs < min_regs {
-            return Err(VmError::new(
-                VmErrorKind::BadProgram,
-                format!(
-                    "`{}`: frame of {} registers cannot hold {} parameters",
-                    fun.name, fun.nregs, min_regs
-                ),
-            ));
-        }
         let mut insts = Vec::with_capacity(fun.insts.len() + 1);
         for inst in &fun.insts {
-            validate_inst(program, registry, fun, inst)?;
             let d = match inst {
                 Inst::Const { d, imm } => DInst::Const { d: *d, imm: *imm },
                 Inst::Pool { d, idx } => DInst::Pool { d: *d, idx: *idx },
@@ -519,21 +596,13 @@ pub(crate) fn decode_program(
                 Inst::AllocFill { d, len, fill, rep } => {
                     let tag = pointer_tag(registry, *rep, "alloc")?;
                     match len {
-                        RegImm::Imm(n) => {
-                            if *n < 0 {
-                                return Err(VmError::new(
-                                    VmErrorKind::BadProgram,
-                                    format!("`{}`: allocation of {n} fields", fun.name),
-                                ));
-                            }
-                            DInst::AllocImm {
-                                d: *d,
-                                len: *n as u32,
-                                fill: *fill,
-                                rep: *rep as u16,
-                                tag,
-                            }
-                        }
+                        RegImm::Imm(n) => DInst::AllocImm {
+                            d: *d,
+                            len: *n as u32,
+                            fill: *fill,
+                            rep: *rep as u16,
+                            tag,
+                        },
                         RegImm::Reg(r) => DInst::AllocReg {
                             d: *d,
                             len: *r,
@@ -563,8 +632,8 @@ pub(crate) fn decode_program(
                 Inst::MakeClosure { d, f, free } => DInst::MakeClosure {
                     d: *d,
                     free: span(free),
-                    tag: closure_tag,
-                    code: registry.encode_immediate(fixnum, *f as i64),
+                    tag: boot.closure_tag,
+                    code: registry.encode_immediate(boot.fixnum, *f as i64),
                 },
                 Inst::ClosureSet { clo, idx, val } => DInst::ClosureSet {
                     clo: *clo,
@@ -619,5 +688,9 @@ pub(crate) fn decode_program(
             insts,
         });
     }
-    Ok(DecodedProgram { funs, args })
+    Ok(DecodedProgram {
+        funs,
+        args,
+        roles: boot,
+    })
 }

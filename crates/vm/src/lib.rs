@@ -60,6 +60,7 @@ mod inst;
 mod machine;
 
 pub use counters::Counters;
+pub use decode::{check_program, BootRoles};
 pub use encode::{describe as describe_word, encode_datum, words_needed};
 pub use error::{OomPhase, VmError, VmErrorKind};
 pub use fault::{ChaosRng, FaultPlan};

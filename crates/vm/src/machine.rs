@@ -211,60 +211,27 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`VmErrorKind::BadProgram`] when the program's registry lacks
-    /// a role its literals or code require, or when an instruction could
-    /// never execute (e.g. allocation of an immediate representation, or
-    /// any out-of-range index or jump target), and the configured
-    /// verifier's rejection when it refuses the program.
+    /// Returns [`crate::check_program`]'s [`VmErrorKind::BadProgram`] error
+    /// when the program is structurally unsound (a missing boot role, an
+    /// out-of-range index or jump target, an impossible allocation, ...),
+    /// and the configured verifier's rejection when it refuses the program.
     pub fn new(program: CodeProgram, config: MachineConfig) -> Result<Machine, VmError> {
-        let registry = program.registry.clone();
-        let need_role = |name: &str| {
-            registry.role(name).ok_or_else(|| {
-                VmError::new(
-                    VmErrorKind::BadProgram,
-                    format!("library did not provide required representation role `{name}`"),
-                )
-            })
-        };
-        let fixnum = need_role(roles::FIXNUM)?;
-        let boolean = need_role(roles::BOOLEAN)?;
-        let closure = need_role(roles::CLOSURE)?;
-        let unspecified = need_role(roles::UNSPECIFIED)?;
-        for (name, id) in [
-            ("fixnum", fixnum),
-            ("boolean", boolean),
-            ("unspecified", unspecified),
-        ] {
-            if registry.info(id).is_pointer() {
-                return Err(VmError::new(
-                    VmErrorKind::BadProgram,
-                    format!("role `{name}` must be an immediate representation"),
-                ));
-            }
-        }
-        let RepKind::Pointer {
-            tag: closure_tag, ..
-        } = registry.info(closure).kind
-        else {
-            return Err(VmError::new(
-                VmErrorKind::BadProgram,
-                "role `closure` must be a pointer representation",
-            ));
-        };
-        let role = RoleCache {
-            fixnum,
-            closure,
-            false_word: registry.encode_immediate(boolean, 0),
-            unspec_word: registry.encode_immediate(unspecified, 0),
-            reg_init: registry.encode_immediate(fixnum, 0),
-        };
-        let decoded = decode_program(&program, &registry, closure_tag, fixnum)?;
+        let decoded = decode_program(&program)?;
         // The verifier sees the loadable program, of which the decoded
         // stream is a faithful 1:1 translation; a rejected program never
         // starts.
         if let Some(verify) = config.verifier {
             verify(&program)?;
         }
+        let registry = program.registry.clone();
+        let boot = decoded.roles;
+        let role = RoleCache {
+            fixnum: boot.fixnum,
+            closure: boot.closure,
+            false_word: registry.encode_immediate(boot.boolean, 0),
+            unspec_word: registry.encode_immediate(boot.unspecified, 0),
+            reg_init: registry.encode_immediate(boot.fixnum, 0),
+        };
         let ptr_table = registry.pointer_pattern_table();
         let nglobals = program.nglobals;
         let heap_cap = config.fault.effective_cap();
@@ -1331,14 +1298,35 @@ impl Machine {
             ));
         }
         let base = (w >> 3) as usize;
-        if header_type(self.heap.get(base)?) != reptype as u16 {
+        let header = self.heap.get(base)?;
+        if header_type(header) != reptype as u16 {
             return Err(VmError::new(
                 VmErrorKind::BadRepOperation,
                 "not a representation type (wrong record type)",
             ));
         }
-        let payload = self.heap.get(base + 1)?;
-        Ok(self.registry.decode_immediate(self.role.fixnum, payload) as RepId)
+        // `%rep-alloc` can forge a rep-type object of any length and
+        // contents; only a one-field object naming a registered
+        // representation is one.
+        if header_len(header) != 1 {
+            return Err(VmError::new(
+                VmErrorKind::BadRepOperation,
+                format!(
+                    "not a representation type ({} fields, not 1)",
+                    header_len(header)
+                ),
+            ));
+        }
+        let id = self
+            .registry
+            .decode_immediate(self.role.fixnum, self.heap.get(base + 1)?);
+        if !(0..self.registry.len() as i64).contains(&id) {
+            return Err(VmError::new(
+                VmErrorKind::BadRepOperation,
+                format!("not a representation type (unknown id {id})"),
+            ));
+        }
+        Ok(id as RepId)
     }
 
     fn fixnum_arg(&self, w: Word, what: &str) -> Result<i64, VmError> {

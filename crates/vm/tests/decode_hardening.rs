@@ -1,5 +1,6 @@
-//! Regression tests for decode's structural checks, which the dispatch
-//! loop's unchecked accesses rely on.  Every one of these programs must end
+//! Regression tests for the load check (`check_program`), which the
+//! dispatch loop's unchecked accesses and the verifier's dataflow pass
+//! rely on.  Every one of these programs must end
 //! in a structured `BadProgram` error in *all* build profiles, whether or
 //! not a verifier is installed: most are refused before a single
 //! instruction runs, and a program that falls off the end of a function
@@ -7,8 +8,8 @@
 
 use sxr_ir::rep::RepRegistry;
 use sxr_vm::{
-    CmpOp, CodeFun, CodeProgram, Heap, Inst, Machine, MachineConfig, RegImm, RepVmOp, VerifierHook,
-    VmError, VmErrorKind,
+    CmpOp, CodeFun, CodeProgram, Heap, Inst, Machine, MachineConfig, PoolEntry, RegImm, RepVmOp,
+    VerifierHook, VmError, VmErrorKind,
 };
 
 fn boot_registry() -> RepRegistry {
@@ -288,16 +289,124 @@ fn fetch_cases() -> Vec<(&'static str, CodeProgram, Expect)> {
     ]
 }
 
+/// Programs that break a structural fact only the load check proves: a
+/// closure capture count, a first-class representation in the pool, a
+/// boot role, a static allocation.  Each must be refused at load.
+fn structural_cases() -> Vec<(&'static str, CodeProgram, Expect)> {
+    use Expect::*;
+    let alloc = |rep, len| {
+        program(vec![fun(
+            2,
+            vec![
+                Inst::Const { d: 1, imm: 0 },
+                Inst::AllocFill {
+                    d: 1,
+                    len: RegImm::Imm(len),
+                    fill: 1,
+                    rep,
+                },
+                Inst::Ret { s: 1 },
+            ],
+        )])
+    };
+    // A registry providing `roles`, each as an immediate unless it is
+    // named in `pointers`.
+    let registry = |roles: &[&str], pointers: &[&str]| {
+        let mut reg = RepRegistry::new();
+        for (i, &role) in roles.iter().enumerate() {
+            let id = if pointers.contains(&role) {
+                reg.intern_pointer(role, 1 + i as u64, false).unwrap()
+            } else {
+                reg.intern_immediate(role, 8, 0b010 | (i as u64) << 4, 8)
+                    .unwrap()
+            };
+            reg.provide_role(role, id).unwrap();
+        }
+        reg
+    };
+    let boot = ["fixnum", "boolean", "unspecified", "closure"];
+    let with = |registry, pool: Option<PoolEntry>| {
+        let mut prog = program(vec![fun(
+            2,
+            vec![Inst::Const { d: 1, imm: 0 }, Inst::Ret { s: 1 }],
+        )]);
+        prog.registry = registry;
+        if let Some(entry) = pool {
+            prog.pool.push(entry);
+            prog.funs[0].insts[0] = Inst::Pool { d: 1, idx: 0 };
+        }
+        prog
+    };
+    let with_rep_type = registry(
+        &["fixnum", "boolean", "unspecified", "closure", "rep-type"],
+        &["closure", "rep-type"],
+    );
+    vec![
+        (
+            "closure captures a value its code has no slot for",
+            program(vec![
+                fun(
+                    2,
+                    vec![
+                        Inst::MakeClosure {
+                            d: 1,
+                            f: 1,
+                            free: vec![0],
+                        },
+                        Inst::Ret { s: 1 },
+                    ],
+                ),
+                callee(),
+            ]),
+            LoadRejected("closure captures 1 value(s) but `callee` declares 0"),
+        ),
+        (
+            "pool representation id out of range",
+            with(with_rep_type, Some(PoolEntry::Rep(99))),
+            LoadRejected("unknown representation id 99"),
+        ),
+        (
+            "pool representation without a rep-type role",
+            with(registry(&boot, &["closure"]), Some(PoolEntry::Rep(0))),
+            LoadRejected("role `rep-type`"),
+        ),
+        (
+            "missing boot role",
+            with(
+                registry(&["fixnum", "boolean", "closure"], &["closure"]),
+                None,
+            ),
+            LoadRejected("role `unspecified`"),
+        ),
+        (
+            "boot role of the wrong kind",
+            with(registry(&boot, &["fixnum", "closure"]), None),
+            LoadRejected("role `fixnum` must be an immediate representation"),
+        ),
+        (
+            "allocation of an immediate representation",
+            alloc(0, 1),
+            LoadRejected("alloc of immediate representation `fixnum`"),
+        ),
+        (
+            "negative static allocation length",
+            alloc(3, -2), // closure, a pointer
+            LoadRejected("allocation of -2 fields"),
+        ),
+    ]
+}
+
 /// A hook that accepts everything: the machine must stay safe when the
 /// installed verifier proves nothing.
 fn lying_hook(_: &CodeProgram) -> Result<(), VmError> {
     Ok(())
 }
 
-#[test]
-fn out_of_code_fetches_are_structured_errors_with_or_without_a_verifier() {
+/// Loads and runs every case with no verifier and with [`lying_hook`]:
+/// decode alone must produce the expected `BadProgram`.
+fn assert_table(cases: fn() -> Vec<(&'static str, CodeProgram, Expect)>) {
     for verifier in [None, Some(lying_hook as VerifierHook)] {
-        for (what, prog, expect) in fetch_cases() {
+        for (what, prog, expect) in cases() {
             let config = MachineConfig {
                 instruction_limit: Some(10_000),
                 verifier,
@@ -322,6 +431,16 @@ fn out_of_code_fetches_are_structured_errors_with_or_without_a_verifier() {
             );
         }
     }
+}
+
+#[test]
+fn out_of_code_fetches_are_structured_errors_with_or_without_a_verifier() {
+    assert_table(fetch_cases);
+}
+
+#[test]
+fn structural_faults_are_load_errors_with_or_without_a_verifier() {
+    assert_table(structural_cases);
 }
 
 #[test]

@@ -267,6 +267,43 @@ fn unhandled_raise_is_a_structured_error_in_every_config() {
     }
 }
 
+/// `%rep-alloc` can build an object with the `rep-type` header but any
+/// length and payload.  Using one as a representation must fail
+/// structurally, not index the registry with a forged id.
+const FORGED_REP_TYPES: [(&str, &str); 3] = [
+    (
+        "unknown id",
+        "(%rep-inject (%rep-alloc rep-type-rep (%rep-project fixnum-rep 1) 99) 0)",
+    ),
+    (
+        "negative id",
+        "(%rep-inject (%rep-alloc rep-type-rep (%rep-project fixnum-rep 1) -1) 0)",
+    ),
+    (
+        "no payload field, next to a pair",
+        "(let ((r (%rep-alloc rep-type-rep (%rep-project fixnum-rep 0) 0)))
+           (let ((p (cons 1 2)))
+             (%rep-inject r (car p))))",
+    ),
+];
+
+#[test]
+fn forged_rep_types_are_bad_rep_operations_in_every_config() {
+    for (what, src) in FORGED_REP_TYPES {
+        for (name, cfg) in three_configs() {
+            let compiled = Compiler::new(cfg)
+                .compile(src)
+                .unwrap_or_else(|e| panic!("{what}/{name}: {e}"));
+            let err = compiled.run().expect_err("a forged rep-type is refused");
+            assert_eq!(
+                err.kind.label(),
+                "bad-rep-operation",
+                "{what}/{name}: {err}"
+            );
+        }
+    }
+}
+
 // -- suspend/resume determinism ----------------------------------------------
 
 #[test]

@@ -26,16 +26,19 @@
 //! be bitwise identical to the uninterrupted run.
 //!
 //! A second battery mutates compiled bytecode instead of source: one
-//! operand of one benchmark-corpus program per case, loaded with no
-//! verifier.  The dispatch loop skips every bounds check decode proves, so
-//! whatever decode accepts must run to a value or a structured error.
+//! operand of one benchmark-corpus program per case.  Each mutant goes
+//! through the bytecode verifier, is loaded and run with no verifier, and
+//! is loaded again with the verifier installed.  The dispatch loop skips
+//! every bounds check the load check proves, and the verifier's dataflow
+//! pass indexes what that check proved, so none of this may panic.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use sxr::report::run_resumable_with;
 use sxr::{Compiler, FaultPlan, PipelineConfig};
+use sxr_analysis::{verifier_hook, verify_program};
 use sxr_bench::{measured_configs, BENCHMARKS};
-use sxr_vm::{CodeProgram, Inst, Machine, MachineConfig, Reg, RegImm};
+use sxr_vm::{CodeProgram, Inst, Machine, MachineConfig, PoolEntry, Reg, RegImm, VerifierHook};
 
 /// Deterministic xorshift64* PRNG — the sequence is fixed per seed, so every
 /// CI run tests the same programs and failures reproduce exactly.
@@ -518,6 +521,12 @@ fn pipelines_agree_on_random_programs() {
 /// Mutation cases per `SXR_FUZZ_ITERS` unit.
 const MUTATIONS_PER_ITER: usize = 8;
 
+/// Mutation kinds [`mutate`] knows.
+const MUTATION_KINDS: usize = 8;
+
+/// Draws of a site before a program is taken to have none for a kind.
+const SITE_DRAWS: usize = 64;
+
 /// Every register field of `inst`, for in-place mutation.
 fn reg_fields(inst: &mut Inst) -> Vec<&mut Reg> {
     let mut out: Vec<&mut Reg> = Vec::new();
@@ -590,10 +599,20 @@ fn near(rng: &mut Rng, bound: usize) -> usize {
 
 /// Mutates one operand of `prog` of the kind `kind` selects, returning a
 /// description, or `None` when the randomly picked site has no such
-/// operand (the caller retries).  Three sites in four are in `hot`
+/// operand (the caller draws again).  Three sites in four are in `hot`
 /// functions, which the program certainly runs.
 fn mutate(prog: &mut CodeProgram, hot: &[usize], kind: usize, rng: &mut Rng) -> Option<String> {
     let (npool, nglobals, nfuns) = (prog.pool.len(), prog.nglobals, prog.funs.len());
+    if kind == 6 {
+        // A first-class representation in the constant pool.
+        let reps: Vec<usize> = (0..npool)
+            .filter(|&i| matches!(prog.pool[i], PoolEntry::Rep(_)))
+            .collect();
+        let i = *reps.get(rng.below(reps.len().max(1)))?;
+        let id = near(rng, prog.registry.len()) as u32;
+        prog.pool[i] = PoolEntry::Rep(id);
+        return Some(format!("pool entry {i}: representation id := {id}"));
+    }
     let fi = if rng.below(4) == 0 {
         rng.below(nfuns)
     } else {
@@ -646,6 +665,15 @@ fn mutate(prog: &mut CodeProgram, hot: &[usize], kind: usize, rng: &mut Rng) -> 
             *f = near(rng, nfuns) as u32;
             Some(format!("{site}: function id := {f}"))
         }
+        (7, Inst::MakeClosure { free, .. }) => {
+            if free.is_empty() || rng.bool() {
+                free.push(rng.below(nregs) as Reg);
+                Some(format!("{site}: capture added ({} now)", free.len()))
+            } else {
+                free.pop();
+                Some(format!("{site}: capture dropped ({} now)", free.len()))
+            }
+        }
         _ => None,
     }
 }
@@ -674,39 +702,57 @@ fn mutated_bytecode_runs_to_a_value_or_a_structured_error() {
             corpus.push((format!("{}/{label}", b.name), code, hot));
         }
     }
-    let (mut loaded, mut values) = (0usize, 0usize);
+    let (mut loaded, mut values, mut verified, mut redrawn) = (0usize, 0usize, 0usize, 0usize);
     let cases = fuzz_iters() * MUTATIONS_PER_ITER;
-    for case in 0..cases {
+    let mut case = 0;
+    while case < cases {
         let (target, original, hot) = &corpus[rng.below(corpus.len())];
-        let kind = rng.below(6);
+        let kind = rng.below(MUTATION_KINDS);
         let mut prog = original.clone();
-        let what = loop {
-            if let Some(what) = mutate(&mut prog, hot, kind, &mut rng) {
-                break what;
-            }
+        let Some(what) = (0..SITE_DRAWS).find_map(|_| mutate(&mut prog, hot, kind, &mut rng))
+        else {
+            // This program has no site for this kind: pick another case.
+            redrawn += 1;
+            continue;
         };
-        let config = MachineConfig {
+        let config = |verifier: Option<VerifierHook>| MachineConfig {
             heap_words: 1 << 14,
             instruction_limit: Some(200_000),
             fault: FaultPlan::none().with_heap_cap_words(1 << 20),
-            verifier: None,
+            verifier,
         };
-        // Any `VmError` is a structured outcome; only a panic fails.
+        // Any `VmError` and any rejection is a structured outcome; only a
+        // panic fails.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut m = Machine::new(prog, config).ok()?;
-            Some(m.run().map(|w| m.describe(w)))
+            let clean = verify_program(&prog).is_clean();
+            let hooked = Machine::new(prog.clone(), config(Some(verifier_hook))).is_ok();
+            let run = Machine::new(prog, config(None))
+                .ok()
+                .map(|mut m| m.run().map(|w| m.describe(w)));
+            (clean, hooked, run)
         }));
         match outcome {
-            Ok(None) => {}
-            Ok(Some(run)) => {
-                loaded += 1;
-                values += usize::from(run.is_ok());
+            Ok((clean, hooked, run)) => {
+                assert_eq!(
+                    hooked,
+                    clean && run.is_some(),
+                    "mutation case {case} ({target}, {what}): the verified load \
+                     disagrees with the verifier and the plain load\n{}",
+                    repro(seed, case / MUTATIONS_PER_ITER)
+                );
+                verified += usize::from(clean);
+                loaded += usize::from(run.is_some());
+                values += usize::from(matches!(run, Some(Ok(_))));
             }
             Err(_) => panic!(
                 "mutation case {case} ({target}, {what}) panicked\n{}",
                 repro(seed, case / MUTATIONS_PER_ITER)
             ),
         }
+        case += 1;
     }
-    eprintln!("bytecode mutations: {cases} cases, {loaded} loaded, {values} ran to a value");
+    eprintln!(
+        "bytecode mutations: {cases} cases ({redrawn} redrawn), {verified} verified, \
+         {loaded} loaded, {values} ran to a value"
+    );
 }
