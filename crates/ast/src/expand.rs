@@ -588,7 +588,9 @@ impl Expander {
         let mut ids = Vec::new();
         for (n, _) in &binds {
             let v = self.fresh_var(n);
-            scope.vars.insert(n.clone(), v);
+            if scope.vars.insert(n.clone(), v).is_some() {
+                return Err(ExpandError::new(format!("duplicate let binding `{n}`"), d));
+            }
             ids.push(v);
         }
         let body = self.expand_body(body, &scope, d)?;
@@ -1632,6 +1634,16 @@ mod tests {
     #[test]
     fn duplicate_parameter_rejected() {
         assert!(expand_err("(lambda (x x) x)").message.contains("duplicate"));
+    }
+
+    #[test]
+    fn duplicate_let_binding_rejected() {
+        assert_eq!(
+            expand_err("(let ((x 1) (x 2)) x)").message,
+            "duplicate let binding `x`"
+        );
+        // `let*` nests, so a repeated name shadows instead.
+        expand1("(let* ((x 1) (x 2)) x)");
     }
 
     #[test]

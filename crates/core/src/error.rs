@@ -19,11 +19,8 @@ pub enum CompileError {
     Opt(sxr_opt::OptError),
     /// Intrinsic lowering failure (Traditional mode).
     Intrinsic(sxr_codegen::IntrinsicError),
-    /// IR invariant violation.
+    /// IR invariant violation in the closure-converted module.
     Validate(sxr_ir::ValidateError),
-    /// Inter-pass semantic verification failure (only with
-    /// `PipelineConfig::verify_passes`).
-    Verify(sxr_analysis::VerifyError),
     /// Code-generation failure.
     Codegen(sxr_codegen::CodegenError),
 }
@@ -39,7 +36,6 @@ impl fmt::Display for CompileError {
             CompileError::Opt(e) => e.fmt(f),
             CompileError::Intrinsic(e) => e.fmt(f),
             CompileError::Validate(e) => e.fmt(f),
-            CompileError::Verify(e) => write!(f, "inter-pass verification: {e}"),
             CompileError::Codegen(e) => e.fmt(f),
         }
     }
@@ -86,12 +82,6 @@ impl From<sxr_codegen::IntrinsicError> for CompileError {
 impl From<sxr_ir::ValidateError> for CompileError {
     fn from(e: sxr_ir::ValidateError) -> Self {
         CompileError::Validate(e)
-    }
-}
-
-impl From<sxr_analysis::VerifyError> for CompileError {
-    fn from(e: sxr_analysis::VerifyError) -> Self {
-        CompileError::Verify(e)
     }
 }
 

@@ -9,7 +9,11 @@
 //!    compiler itself understands;
 //! 3. the **A-normal-form IR** ([`anf`]) with lowering from the front end
 //!    ([`lower`]), closure conversion ([`clconv`]), pretty printing
-//!    ([`pretty`]) and invariant checking ([`validate`]).
+//!    ([`pretty`]) and the one IR verifier ([`validate`]): a single walk
+//!    that checks either IR phase — the entry point picks which — and the
+//!    registry facts.  The pipeline verifies every converted module with
+//!    [`verify_module`]; the optimizer's per-pass checks use
+//!    [`verify_expr`].
 //!
 //! # Example
 //!
@@ -43,4 +47,4 @@ pub use clconv::{closure_convert, free_vars};
 pub use lower::{lower_expr, lower_program, LowerError, Lowered};
 pub use prim::{Intrinsic, PrimOp};
 pub use rep::{RepError, RepId, RepInfo, RepKind, RepRegistry};
-pub use validate::{validate_module, ValidateError, ValidateErrorKind};
+pub use validate::{validate_module, verify_expr, verify_module, ValidateError, ValidateErrorKind};

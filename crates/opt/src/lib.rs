@@ -58,8 +58,10 @@ pub struct OptOptions {
     pub dce: bool,
     /// Maximum optimization rounds.
     pub rounds: usize,
-    /// Run the semantic verifier after every pass, attributing any broken
-    /// IR invariant to the pass that broke it. Defaults on in debug builds.
+    /// Re-verify the IR ([`sxr_ir::verify_expr`]) after every enabled pass,
+    /// attributing any broken invariant to the pass that broke it. This is
+    /// all the flag gates: the pipeline verifies the closure-converted
+    /// module on every compile either way. Defaults on in debug builds.
     pub verify: bool,
 }
 
@@ -145,9 +147,10 @@ impl std::fmt::Display for OptError {
 
 impl std::error::Error for OptError {}
 
-/// Verifies the program against the inter-pass invariants, attributing any
-/// violation to `pass`. Called by [`optimize`] after every enabled pass
-/// when [`OptOptions::verify`] is set; public so pass authors can wrap
+/// Verifies the program with [`sxr_ir::verify_expr`], the IR verifier's
+/// pre-closure-conversion entry, attributing any violation to `pass`.
+/// Called by [`optimize`] after every enabled pass when
+/// [`OptOptions::verify`] is set; public so pass authors can wrap
 /// experimental rewrites the same way.
 ///
 /// # Errors
@@ -155,7 +158,7 @@ impl std::error::Error for OptError {}
 /// Returns [`OptError`] naming `pass` and the violated invariant, with a
 /// pretty-printed IR excerpt when one is available.
 pub fn verify_pass(pass: &str, e: &Expr, registry: &RepRegistry) -> Result<(), OptError> {
-    sxr_analysis::verify_expr(e, registry)
+    sxr_ir::verify_expr(e, registry)
         .map_err(|err| OptError(format!("IR verification failed after pass `{pass}`: {err}")))
 }
 
@@ -164,14 +167,14 @@ pub fn verify_pass(pass: &str, e: &Expr, registry: &RepRegistry) -> Result<(), O
 /// `registry` must already contain the representation declarations (run
 /// [`scan_representations`] first); `rep_globals` is that scan's output.
 ///
-/// When [`OptOptions::verify`] is set (the default in debug builds), the
-/// inter-pass verifier runs after every enabled pass and a broken invariant
+/// When [`OptOptions::verify`] is set (the default in debug builds),
+/// [`verify_pass`] runs after every enabled pass and a broken invariant
 /// surfaces as an [`OptError`] naming the offending pass.
 ///
 /// # Errors
 ///
 /// Returns [`OptError`] if constant-folding a representation declaration
-/// fails, or if inter-pass verification catches a pass breaking the IR.
+/// fails, or if per-pass verification catches a pass breaking the IR.
 pub fn optimize(
     mut e: Expr,
     registry: &mut RepRegistry,
@@ -181,11 +184,16 @@ pub fn optimize(
 ) -> Result<(Expr, OptReport), OptError> {
     let mut report = OptReport::default();
     let mut assumptions = Assumptions::new();
-    if options.verify {
-        // Check the input first so pre-existing damage is not pinned on
-        // the first pass of the round.
-        verify_pass("input", &e, registry)?;
-    }
+    let verify = |pass: &str, e: &Expr, registry: &RepRegistry| {
+        if options.verify {
+            verify_pass(pass, e, registry)
+        } else {
+            Ok(())
+        }
+    };
+    // Check the input first so pre-existing damage is not pinned on the
+    // first pass of the round.
+    verify("input", &e, registry)?;
     for _ in 0..options.rounds {
         let size_before = e.size();
         let mut round_changed = 0usize;
@@ -200,40 +208,30 @@ pub fn optimize(
             e = e2;
             report.inlined += n;
             round_changed += n;
-            if options.verify {
-                verify_pass("inline", &e, registry)?;
-            }
+            verify("inline", &e, registry)?;
         }
         if options.constfold {
             let ginfo = analyze_globals(&e, rep_globals);
             e = constfold(e, &ginfo, registry).map_err(|err| OptError(err.0))?;
-            if options.verify {
-                verify_pass("constfold", &e, registry)?;
-            }
+            verify("constfold", &e, registry)?;
         }
         if options.repspec {
             let (e2, assume) = repspec(e, registry, supply);
             e = e2;
             assumptions.extend(assume);
-            if options.verify {
-                verify_pass("repspec", &e, registry)?;
-            }
+            verify("repspec", &e, registry)?;
         }
         if options.bits {
             let (e2, n) = bits(e, registry, &assumptions);
             e = e2;
             report.bit_rewrites += n;
             round_changed += n;
-            if options.verify {
-                verify_pass("bits", &e, registry)?;
-            }
+            verify("bits", &e, registry)?;
             if options.constfold {
                 // Bit rewrites expose constants (e.g. folded type tests).
                 let ginfo = analyze_globals(&e, rep_globals);
                 e = constfold(e, &ginfo, registry).map_err(|err| OptError(err.0))?;
-                if options.verify {
-                    verify_pass("constfold", &e, registry)?;
-                }
+                verify("constfold", &e, registry)?;
             }
         }
         if options.cse {
@@ -241,9 +239,7 @@ pub fn optimize(
             e = e2;
             report.cse_hits += n;
             round_changed += n;
-            if options.verify {
-                verify_pass("cse", &e, registry)?;
-            }
+            verify("cse", &e, registry)?;
         }
         if options.dce {
             loop {
@@ -255,9 +251,7 @@ pub fn optimize(
                     break;
                 }
             }
-            if options.verify {
-                verify_pass("dce", &e, registry)?;
-            }
+            verify("dce", &e, registry)?;
         }
         report.rounds += 1;
         if round_changed == 0 && e.size() == size_before {
@@ -332,6 +326,6 @@ mod tests {
             ..OptOptions::default()
         };
         let (out, _) = optimize(e, &mut reg, &HashMap::new(), &mut supply, &opts).unwrap();
-        sxr_analysis::verify_expr(&out, &reg).unwrap();
+        sxr_ir::verify_expr(&out, &reg).unwrap();
     }
 }

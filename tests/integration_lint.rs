@@ -123,7 +123,7 @@ fn benchmark_suite_lints_clean() {
 #[test]
 fn benchmark_suite_verifies_under_all_configs() {
     // With `verify_passes` forced on, every optimizer pass re-verifies the
-    // IR and closure conversion runs the deeper module verifier; the whole
+    // IR (the converted module is verified on every compile); the whole
     // benchmark suite must compile with zero violations under every
     // pipeline configuration, and the compiled modules must carry zero
     // error-severity analyzer findings.

@@ -1,6 +1,6 @@
 //! End-to-end pipeline smoke tests for the paper's system configuration.
 
-use sxr::{Compiler, PipelineConfig};
+use sxr::{CompileError, Compiler, PipelineConfig};
 
 fn run(src: &str) -> (String, String) {
     let compiled = Compiler::new(PipelineConfig::abstract_optimized())
@@ -228,4 +228,25 @@ fn record_types_are_distinguished() {
       (define-record-type b (make-b y) b? (y b-y))
       (display (list (a? (make-a 1)) (a? (make-b 1)) (b? (make-b 1)) (a? (box 1))))");
     assert_eq!(out.1, "(#t #f #t #f)");
+}
+
+#[test]
+fn duplicate_let_binding_is_an_expand_error_in_every_config() {
+    for (name, cfg) in [
+        ("traditional", PipelineConfig::traditional()),
+        ("abstract-opt", PipelineConfig::abstract_optimized()),
+        ("abstract-noopt", PipelineConfig::abstract_unoptimized()),
+    ] {
+        for verify in [false, true] {
+            let compiler = Compiler::new(cfg.clone().with_verify_passes(verify));
+            match compiler.compile("(let ((x 1) (x 2)) x)") {
+                Err(CompileError::Expand(e)) => {
+                    assert_eq!(e.message, "duplicate let binding `x`", "{name}")
+                }
+                other => panic!("{name} (verify {verify}): {:?}", other.err()),
+            }
+            let out = compiler.compile("(let* ((x 1) (x 2)) x)").unwrap().run();
+            assert_eq!(out.unwrap().value, "2", "{name} (verify {verify})");
+        }
+    }
 }
