@@ -6,7 +6,10 @@
 //! verifier: per-function abstract interpretation to a fixpoint over the
 //! control-flow graph, applied to *reachable* instructions only (compiled
 //! code legitimately carries unreachable tails after `ErrorOp`/`RaiseOp`
-//! terminators).
+//! terminators).  As in the JVM's `StackMapTable` design, abstract states
+//! are stored only at join points (the entry and every branch or handler
+//! target); straight-line code carries one working state, so time and
+//! memory are O(insts + joins * nregs) per function.
 //!
 //! Structure is not this module's business.  Every bounds and role fact a
 //! load relies on (register, jump, pool, global, function and
@@ -164,6 +167,15 @@ pub struct VerifyReport {
     pub funs: usize,
     /// Total instructions in the analyzed functions.
     pub insts: usize,
+    /// Join points (function entries plus branch and handler targets) of
+    /// the functions that verified: the only pcs that keep a stored state.
+    pub joins: usize,
+    /// Peak abstract-state words held at once, over the functions that
+    /// verified: one function's stored join states plus its working
+    /// state, at one word per register and one for the handler depth.
+    /// Bounded by `(joins + 1) * (nregs + 1)` for that function, so it
+    /// grows with the join count, not with the instruction count.
+    pub state_words: usize,
 }
 
 impl VerifyReport {
@@ -262,6 +274,38 @@ struct AbsState {
     depth: u32,
 }
 
+/// The stored states of one function's dataflow pass: one per join point
+/// (the entry and every branch or handler target), indexed through `slot`.
+struct Joins {
+    /// `slot[pc]` indexes `states` for a join point, else [`NO_SLOT`].
+    slot: Vec<usize>,
+    /// The state stored at each join point, once a path reaches it.
+    states: Vec<Option<AbsState>>,
+    /// How many entries of `states` are filled.
+    stored: usize,
+    /// Join points whose state changed since they were last analyzed.
+    work: Vec<usize>,
+}
+
+const NO_SLOT: usize = usize::MAX;
+
+impl Joins {
+    /// Makes `pc` a join point (idempotent).
+    fn add(&mut self, pc: usize) {
+        if self.slot[pc] == NO_SLOT {
+            self.slot[pc] = self.states.len();
+            self.states.push(None);
+        }
+    }
+}
+
+/// What one function's verified dataflow pass held: its join points and
+/// its peak abstract-state words.
+struct Footprint {
+    joins: usize,
+    state_words: usize,
+}
+
 /// How control leaves an instruction.
 enum Flow {
     /// Falls through to `pc + 1`.
@@ -306,8 +350,12 @@ pub fn verify_program(program: &CodeProgram) -> VerifyReport {
             fun,
             fid: fid as u32,
         };
-        if let Err(r) = v.dataflow() {
-            report.rejections.push(r);
+        match v.dataflow() {
+            Ok(f) => {
+                report.joins += f.joins;
+                report.state_words = report.state_words.max(f.state_words);
+            }
+            Err(r) => report.rejections.push(r),
         }
     }
     report
@@ -351,7 +399,7 @@ impl<'a> FnVerifier<'a> {
 
     // ----- dataflow pass (reachable instructions only) -----
 
-    fn dataflow(&self) -> Result<(), Rejection> {
+    fn dataflow(&self) -> Result<Footprint, Rejection> {
         let fun = self.fun;
         let len = fun.insts.len();
         if len == 0 {
@@ -381,70 +429,107 @@ impl<'a> FnVerifier<'a> {
                 ));
             }
         }
-        let mut states: Vec<Option<AbsState>> = vec![None; len];
-        states[0] = Some(entry);
-        let mut work = vec![0usize];
+        // Stored states live only at join points: the entry and every
+        // branch or handler target.  Any other pc is reached only by
+        // falling through from `pc - 1`, so its state is the working state
+        // carried along straight-line code.
+        let mut joins = Joins {
+            slot: vec![NO_SLOT; len],
+            states: Vec::new(),
+            stored: 0,
+            work: Vec::new(),
+        };
+        joins.add(0);
+        for inst in &fun.insts {
+            if let Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } = inst {
+                joins.add(*t as usize);
+            }
+        }
+        self.merge(&mut joins, 0, &entry)?;
 
-        while let Some(pc) = work.pop() {
-            let mut st = states[pc].clone().expect("queued pc has a state");
-            let flow = self.step(pc, &fun.insts[pc], &mut st)?;
-            let succs: Vec<(usize, AbsState)> = match flow {
-                Flow::Fall => vec![(pc + 1, st)],
-                Flow::Jump(t) => vec![(t as usize, st)],
-                Flow::Branch(t) => vec![(t as usize, st.clone()), (pc + 1, st)],
-                Flow::Push { t, d } => {
-                    let mut trap = st.clone();
-                    trap.regs[d as usize] = Rv::Tagged;
-                    let mut fall = st;
-                    fall.depth += 1;
-                    vec![(t as usize, trap), (pc + 1, fall)]
+        while let Some(head) = joins.work.pop() {
+            let mut st = joins.states[joins.slot[head]]
+                .clone()
+                .expect("queued join has a state");
+            let mut pc = head;
+            loop {
+                let fall = match self.step(pc, &fun.insts[pc], &mut st)? {
+                    Flow::Fall => true,
+                    Flow::Jump(t) => {
+                        self.merge(&mut joins, t as usize, &st)?;
+                        false
+                    }
+                    Flow::Branch(t) => {
+                        self.merge(&mut joins, t as usize, &st)?;
+                        true
+                    }
+                    Flow::Push { t, d } => {
+                        // The trap edge resumes at the current depth with
+                        // `d` defined; the fall-through runs one deeper.
+                        let saved = std::mem::replace(&mut st.regs[d as usize], Rv::Tagged);
+                        self.merge(&mut joins, t as usize, &st)?;
+                        st.regs[d as usize] = saved;
+                        st.depth += 1;
+                        true
+                    }
+                    Flow::Pop => {
+                        st.depth -= 1;
+                        true
+                    }
+                    Flow::Stop => false,
+                };
+                if !fall {
+                    break;
                 }
-                Flow::Pop => {
-                    st.depth -= 1;
-                    vec![(pc + 1, st)]
-                }
-                Flow::Stop => vec![],
-            };
-            for (succ, s) in succs {
-                if succ >= len {
+                pc += 1;
+                if pc >= len {
                     return Err(self.reject(
-                        pc,
+                        pc - 1,
                         Rule::FallOffEnd,
                         "execution can fall off the end of the function".to_string(),
                     ));
                 }
-                match &states[succ] {
-                    None => {
-                        states[succ] = Some(s);
-                        work.push(succ);
-                    }
-                    Some(old) => {
-                        if old.depth != s.depth {
-                            return Err(self.reject(
-                                succ,
-                                Rule::HandlerJoinMismatch,
-                                format!(
-                                    "paths join with handler depths {} and {}",
-                                    old.depth, s.depth
-                                ),
-                            ));
-                        }
-                        let joined = AbsState {
-                            regs: old
-                                .regs
-                                .iter()
-                                .zip(&s.regs)
-                                .map(|(&a, &b)| a.join(b))
-                                .collect(),
-                            depth: old.depth,
-                        };
-                        if joined != *old {
-                            states[succ] = Some(joined);
-                            work.push(succ);
-                        }
-                    }
+                if joins.slot[pc] != NO_SLOT {
+                    self.merge(&mut joins, pc, &st)?;
+                    break;
                 }
             }
+        }
+        // The stored join states plus the working state.
+        Ok(Footprint {
+            joins: joins.states.len(),
+            state_words: (joins.stored + 1) * (fun.nregs + 1),
+        })
+    }
+
+    /// Joins `st` into the stored state at join point `t`, re-queuing `t`
+    /// only when that state changed.
+    fn merge(&self, joins: &mut Joins, t: usize, st: &AbsState) -> Result<(), Rejection> {
+        let cell = &mut joins.states[joins.slot[t]];
+        let Some(old) = cell else {
+            *cell = Some(st.clone());
+            joins.stored += 1;
+            joins.work.push(t);
+            return Ok(());
+        };
+        if old.depth != st.depth {
+            return Err(self.reject(
+                t,
+                Rule::HandlerJoinMismatch,
+                format!(
+                    "paths join with handler depths {} and {}",
+                    old.depth, st.depth
+                ),
+            ));
+        }
+        let mut changed = false;
+        for (a, &b) in old.regs.iter_mut().zip(&st.regs) {
+            let j = a.join(b);
+            changed |= j != *a;
+            *a = j;
+        }
+        if changed {
+            joins.work.push(t);
         }
         Ok(())
     }
@@ -964,6 +1049,9 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.funs, 1);
         assert_eq!(report.insts, 3);
+        // Only the entry keeps a state: it plus the working state, each
+        // three registers and a depth.
+        assert_eq!((report.joins, report.state_words), (1, 8));
         assert!(verifier_hook(&prog).is_ok());
     }
 
@@ -996,6 +1084,8 @@ mod tests {
             .build();
         let report = verify_program(&prog);
         assert!(report.is_clean(), "{report}");
+        // Joins at the entry, the loop head and the exit.
+        assert_eq!((report.joins, report.state_words), (3, 12));
     }
 
     #[test]

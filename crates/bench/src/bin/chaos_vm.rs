@@ -19,7 +19,10 @@
 //! `--verify` runs the load-time bytecode verifier over the whole corpus
 //! instead: every benchmark under every configuration must verify with
 //! zero rejections (a rejection of compiler-produced code is a codegen
-//! bug, and the machine would refuse to load it).
+//! bug, and the machine would refuse to load it).  It also prints the
+//! corpus's largest frame (`max nregs`) and the verifier's peak stored
+//! abstract state (`peak state_words`), the two numbers that grow if
+//! register reuse or join-point verification regresses.
 //!
 //! ```text
 //! cargo run --release -p sxr-bench --bin chaos_vm
@@ -88,10 +91,20 @@ fn verify_battery() -> usize {
     let mut programs = 0usize;
     let mut funs = 0usize;
     let mut insts = 0usize;
+    let mut max_nregs = 0usize;
+    let mut state_words = 0usize;
     for b in BENCHMARKS {
         for (label, cfg) in measured_configs() {
             let report = match Compiler::new(cfg).compile(b.source) {
-                Ok(c) => c.verify_bytecode(),
+                Ok(c) => {
+                    max_nregs = c
+                        .code
+                        .funs
+                        .iter()
+                        .map(|f| f.nregs)
+                        .fold(max_nregs, usize::max);
+                    c.verify_bytecode()
+                }
                 Err(e) => {
                     violations += 1;
                     eprintln!("VIOLATION: {}/{label}: compile failed: {e}", b.name);
@@ -101,6 +114,7 @@ fn verify_battery() -> usize {
             programs += 1;
             funs += report.funs;
             insts += report.insts;
+            state_words = state_words.max(report.state_words);
             if !report.is_clean() {
                 violations += 1;
                 eprintln!(
@@ -113,7 +127,8 @@ fn verify_battery() -> usize {
     }
     println!(
         "chaos_vm --verify: {programs} corpus programs verified \
-         ({funs} functions, {insts} instructions), {violations} rejections"
+         ({funs} functions, {insts} instructions), {violations} rejections; \
+         max nregs {max_nregs}, peak state_words {state_words}"
     );
     violations
 }

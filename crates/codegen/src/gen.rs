@@ -12,12 +12,21 @@
 //! precise collector: a register is marked "raw" when the value it holds is
 //! statically known never to be a heap pointer (results of word arithmetic,
 //! projections, type tests). Raw registers are skipped by the GC.
+//!
+//! Code is emitted over unbounded virtual registers; [`allocate_registers`]
+//! then renames them onto frame registers, reusing a register once its
+//! value is dead and only for a value of the same kind, so the pointer map
+//! stays exact while frames stay as small as the values live at once.
 
 use std::collections::HashMap;
 use sxr_ir::anf::{Atom, Bound, Expr, FnId, Fun, Literal, Module, Test, VarId};
 use sxr_ir::prim::PrimOp;
 use sxr_ir::rep::{roles, RepKind, RepRegistry};
 use sxr_vm::{BinOp, CmpOp, CodeFun, CodeProgram, Inst, PoolEntry, Reg, RegImm, RepVmOp};
+
+/// A virtual register: one per binding or temporary, unbounded, renamed
+/// onto frame registers by [`allocate_registers`].
+type VReg = u32;
 
 /// A code-generation failure (missing role, register overflow, or an IR
 /// shape the backend cannot accept).
@@ -246,7 +255,7 @@ pub fn generate(module: &Module, registry: &RepRegistry) -> Result<CodeProgram, 
 
 /// Removes `Jump` instructions whose target is the next instruction
 /// (artifacts of straight-line value bodies) and remaps branch targets.
-fn drop_fallthrough_jumps(insts: Vec<Inst>) -> Vec<Inst> {
+fn drop_fallthrough_jumps<R>(insts: Vec<Inst<R>>) -> Vec<Inst<R>> {
     let dead: Vec<bool> = insts
         .iter()
         .enumerate()
@@ -279,6 +288,80 @@ fn drop_fallthrough_jumps(insts: Vec<Inst>) -> Vec<Inst> {
             inst
         })
         .collect()
+}
+
+/// Renames virtual registers onto frame registers, reusing a frame
+/// register once its previous occupant is dead.  Reuse is a pure renaming:
+/// no instruction is added, removed or reordered.
+///
+/// A virtual register's live interval is [first mention, last mention] in
+/// pc order.  Because the code generator emits only forward jumps (checked
+/// here), every path from a definition to a use stays inside that
+/// interval, including a handler's trap edge from the protected call to
+/// its resume target.  Scanning pcs in order, a virtual register takes a
+/// frame register at its first mention and hands it back after the
+/// instruction of its last mention, so an operand that dies where a result
+/// is defined never shares with it.  Registers `0..entry` (closure,
+/// parameters, rest list) keep their numbers and are never reused.
+///
+/// Free frame registers are kept in one list per final [`Kind`], so every
+/// occupant of a frame register has that register's kind and the root map
+/// stays one precise bit per register: a raw word never sits in a scanned
+/// register and a tagged value never in a skipped one.
+fn allocate_registers(
+    mut insts: Vec<Inst<VReg>>,
+    kinds: &[Kind],
+    entry: usize,
+) -> Result<(Vec<Inst>, Vec<Kind>), CodegenError> {
+    const PINNED: usize = usize::MAX;
+    let mut last = vec![0usize; kinds.len()];
+    for (pc, inst) in insts.iter_mut().enumerate() {
+        if let Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. } = inst {
+            if *t as usize <= pc {
+                return Err(CodegenError(format!(
+                    "backward jump at pc {pc}: register reuse needs forward-only control flow"
+                )));
+            }
+        }
+        inst.regs_mut(|v| last[*v as usize] = pc);
+    }
+    let mut frame: Vec<Kind> = kinds[..entry].to_vec();
+    let mut phys: Vec<Option<Reg>> = vec![None; kinds.len()];
+    for (v, p) in phys.iter_mut().enumerate().take(entry) {
+        *p = Some(v as Reg);
+        last[v] = PINNED;
+    }
+    let mut free: [Vec<Reg>; 2] = [Vec::new(), Vec::new()];
+    let mut dying = Vec::new();
+    let mut overflow = entry > Reg::MAX as usize + 1;
+    let mut out = Vec::with_capacity(insts.len());
+    for (pc, inst) in insts.into_iter().enumerate() {
+        out.push(inst.map_regs(|v| {
+            let v = v as usize;
+            let k = kinds[v];
+            let r = *phys[v].get_or_insert_with(|| {
+                free[k as usize].pop().unwrap_or_else(|| {
+                    overflow |= frame.len() > Reg::MAX as usize;
+                    frame.push(k);
+                    (frame.len() - 1) as Reg
+                })
+            });
+            if last[v] == pc {
+                last[v] = PINNED; // hand back once, however often mentioned
+                dying.push((k, r));
+            }
+            r
+        }));
+        for (k, r) in dying.drain(..) {
+            free[k as usize].push(r);
+        }
+    }
+    if overflow {
+        return Err(CodegenError(
+            "function needs more than 65536 registers live at once".to_string(),
+        ));
+    }
+    Ok((out, frame))
 }
 
 fn encode_role_imm(reg: &RepRegistry, role: &str, payload: i64) -> Result<i64, CodegenError> {
@@ -372,10 +455,10 @@ enum Enc {
 
 struct FnGen<'a, 'b> {
     shared: &'a mut Shared<'b>,
-    regs: HashMap<VarId, Reg>,
-    kinds: Vec<Kind>,       // per register
+    regs: HashMap<VarId, VReg>,
+    kinds: Vec<Kind>,       // per virtual register
     free_kinds: &'a [Kind], // per closure free slot (from `free_slot_kinds`)
-    insts: Vec<Inst>,
+    insts: Vec<Inst<VReg>>,
     patches: Vec<(usize, u32)>, // (inst index, label)
     labels: Vec<Option<u32>>,
     uses: HashMap<VarId, usize>,
@@ -387,7 +470,7 @@ enum Ctx {
     Tail,
     /// Value branch of a `Bound::If`: `Ret a` means "move a to `dst`, jump
     /// to `join`".
-    Yield { dst: Reg, join: u32 },
+    Yield { dst: VReg, join: u32 },
 }
 
 impl<'a, 'b> FnGen<'a, 'b> {
@@ -396,6 +479,28 @@ impl<'a, 'b> FnGen<'a, 'b> {
         free_kinds: &'a [Kind],
         shared: &'a mut Shared<'b>,
     ) -> Result<CodeFun, CodegenError> {
+        let (insts, kinds) = FnGen::virtual_code(f, free_kinds, shared)?;
+        let entry = 1 + f.params.len() + usize::from(f.rest.is_some());
+        let (insts, kinds) = allocate_registers(insts, &kinds, entry)?;
+        Ok(CodeFun {
+            name: f.name.clone().unwrap_or_else(|| "anonymous".to_string()),
+            arity: f.params.len(),
+            variadic: f.rest.is_some(),
+            nregs: kinds.len(),
+            free_count: f.free_count,
+            insts,
+            ptr_map: kinds.iter().map(|k| *k == Kind::Tagged).collect(),
+            free_ptr_map: free_kinds.iter().map(|k| *k == Kind::Tagged).collect(),
+        })
+    }
+
+    /// The function's final code over virtual registers, with each
+    /// virtual register's final kind.
+    fn virtual_code(
+        f: &Fun,
+        free_kinds: &'a [Kind],
+        shared: &'a mut Shared<'b>,
+    ) -> Result<(Vec<Inst<VReg>>, Vec<Kind>), CodegenError> {
         let mut g = FnGen {
             shared,
             regs: HashMap::new(),
@@ -407,18 +512,11 @@ impl<'a, 'b> FnGen<'a, 'b> {
             uses: HashMap::new(),
         };
         f.body.use_counts(&mut g.uses);
-        let r0 = g.fresh_reg(Kind::Tagged)?;
-        if r0 != 0 {
-            // The machine stores the callee closure in register 0; any
-            // other assignment would silently shift every frame access.
-            return Err(CodegenError(format!(
-                "closure register allocated as r{r0}, not r0"
-            )));
-        }
-        g.regs.insert(f.self_var, 0);
-        for p in f.params.iter().chain(f.rest.iter()) {
-            let r = g.fresh_reg(Kind::Tagged)?;
-            g.regs.insert(*p, r);
+        // The machine stores the callee closure in register 0 and the
+        // arguments (then any rest list) after it; the allocator keeps
+        // these entry registers at their numbers.
+        for v in std::iter::once(&f.self_var).chain(&f.params).chain(&f.rest) {
+            g.define(*v, Kind::Tagged);
         }
         g.emit_expr(&f.body, &mut Ctx::Tail)?;
         // Patch labels.
@@ -432,28 +530,12 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 other => return Err(CodegenError(format!("patch of non-branch {other:?}"))),
             }
         }
-        g.insts = drop_fallthrough_jumps(g.insts);
-        Ok(CodeFun {
-            name: f.name.clone().unwrap_or_else(|| "anonymous".to_string()),
-            arity: f.params.len(),
-            variadic: f.rest.is_some(),
-            nregs: g.kinds.len(),
-            free_count: f.free_count,
-            insts: g.insts,
-            ptr_map: g.kinds.iter().map(|k| *k == Kind::Tagged).collect(),
-            free_ptr_map: free_kinds.iter().map(|k| *k == Kind::Tagged).collect(),
-        })
+        Ok((drop_fallthrough_jumps(g.insts), g.kinds))
     }
 
-    fn fresh_reg(&mut self, kind: Kind) -> Result<Reg, CodegenError> {
-        let r = self.kinds.len();
-        if r > u16::MAX as usize {
-            return Err(CodegenError(
-                "function needs more than 65536 registers".to_string(),
-            ));
-        }
+    fn fresh_reg(&mut self, kind: Kind) -> VReg {
         self.kinds.push(kind);
-        Ok(r as Reg)
+        (self.kinds.len() - 1) as VReg
     }
 
     fn new_label(&mut self) -> u32 {
@@ -470,12 +552,12 @@ impl<'a, 'b> FnGen<'a, 'b> {
         self.insts.push(Inst::Jump { t: 0 });
     }
 
-    fn jump_cmp(&mut self, op: CmpOp, a: Reg, b: RegImm, l: u32) {
+    fn jump_cmp(&mut self, op: CmpOp, a: VReg, b: RegImm<VReg>, l: u32) {
         self.patches.push((self.insts.len(), l));
         self.insts.push(Inst::JumpCmp { op, a, b, t: 0 });
     }
 
-    fn var_reg(&self, v: VarId) -> Result<Reg, CodegenError> {
+    fn var_reg(&self, v: VarId) -> Result<VReg, CodegenError> {
         self.regs
             .get(&v)
             .copied()
@@ -493,19 +575,19 @@ impl<'a, 'b> FnGen<'a, 'b> {
     }
 
     /// Materializes an atom into a register.
-    fn atom_reg(&mut self, a: &Atom) -> Result<Reg, CodegenError> {
+    fn atom_reg(&mut self, a: &Atom) -> Result<VReg, CodegenError> {
         match a {
             Atom::Var(v) => self.var_reg(*v),
             Atom::Lit(l) => {
                 let enc = self.shared.literal(l)?;
                 match enc {
                     Enc::Imm(w, k) => {
-                        let r = self.fresh_reg(k)?;
+                        let r = self.fresh_reg(k);
                         self.insts.push(Inst::Const { d: r, imm: w });
                         Ok(r)
                     }
                     Enc::Pool(idx) => {
-                        let r = self.fresh_reg(Kind::Tagged)?;
+                        let r = self.fresh_reg(Kind::Tagged);
                         self.insts.push(Inst::Pool { d: r, idx });
                         Ok(r)
                     }
@@ -524,7 +606,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
         Ok(None)
     }
 
-    fn atom_regs(&mut self, atoms: &[Atom]) -> Result<Vec<Reg>, CodegenError> {
+    fn atom_regs(&mut self, atoms: &[Atom]) -> Result<Vec<VReg>, CodegenError> {
         atoms.iter().map(|a| self.atom_reg(a)).collect()
     }
 
@@ -641,7 +723,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
     /// could alias a pointer pattern must never flow into a tagged join —
     /// the library upholds this by construction and the differential tests
     /// exercise it.
-    fn join_kind(&mut self, dst: Reg, k: Kind) {
+    fn join_kind(&mut self, dst: VReg, k: Kind) {
         if k == Kind::Tagged {
             self.kinds[dst as usize] = Kind::Tagged;
         }
@@ -655,7 +737,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 match i32::try_from(fw) {
                     Ok(imm) => self.jump_cmp(CmpOp::Eq, r, RegImm::Imm(imm), else_l),
                     Err(_) => {
-                        let t = self.fresh_reg(Kind::Tagged)?;
+                        let t = self.fresh_reg(Kind::Tagged);
                         self.insts.push(Inst::Const { d: t, imm: fw });
                         self.jump_cmp(CmpOp::Eq, r, RegImm::Reg(t), else_l);
                     }
@@ -701,7 +783,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 self.emit_expr(els, ctx)
             }
             Some((v, rest)) => {
-                let dst = self.fresh_reg(Kind::Raw)?; // corrected by join_kind
+                let dst = self.fresh_reg(Kind::Raw); // corrected by join_kind
                 self.regs.insert(v, dst);
                 let join = self.new_label();
                 self.jump_cmp(cmp, a, b, else_l);
@@ -714,10 +796,10 @@ impl<'a, 'b> FnGen<'a, 'b> {
         }
     }
 
-    fn define(&mut self, v: VarId, kind: Kind) -> Result<Reg, CodegenError> {
-        let r = self.fresh_reg(kind)?;
+    fn define(&mut self, v: VarId, kind: Kind) -> VReg {
+        let r = self.fresh_reg(kind);
         self.regs.insert(v, r);
-        Ok(r)
+        r
     }
 
     fn emit_bound(&mut self, v: VarId, b: &Bound) -> Result<(), CodegenError> {
@@ -727,12 +809,12 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 match a {
                     Atom::Var(src) => {
                         let s = self.var_reg(*src)?;
-                        let d = self.define(v, k)?;
+                        let d = self.define(v, k);
                         self.insts.push(Inst::Move { d, s });
                     }
                     Atom::Lit(l) => {
                         let enc = self.shared.literal(l)?;
-                        let d = self.define(v, k)?;
+                        let d = self.define(v, k);
                         match enc {
                             Enc::Imm(w, _) => self.insts.push(Inst::Const { d, imm: w }),
                             Enc::Pool(idx) => self.insts.push(Inst::Pool { d, idx }),
@@ -745,7 +827,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             Bound::Call(f, args) => {
                 let fr = self.atom_reg(f)?;
                 let argr = self.atom_regs(args)?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v, Kind::Tagged);
                 self.insts.push(Inst::Call {
                     d,
                     f: fr,
@@ -756,7 +838,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             Bound::CallKnown(fid, clo, args) => {
                 let cr = self.atom_reg(clo)?;
                 let argr = self.atom_regs(args)?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v, Kind::Tagged);
                 self.insts.push(Inst::CallKnown {
                     d,
                     f: *fid,
@@ -766,7 +848,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 Ok(())
             }
             Bound::GlobalGet(g) => {
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v, Kind::Tagged);
                 self.insts.push(Inst::GlobalGet { d, g: *g });
                 Ok(())
             }
@@ -780,7 +862,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             )),
             Bound::MakeClosure(fid, frees) => {
                 let freer = self.atom_regs(frees)?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v, Kind::Tagged);
                 self.insts.push(Inst::MakeClosure {
                     d,
                     f: *fid,
@@ -792,7 +874,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 // The slot's kind flows into the destination register: a raw
                 // capture must stay invisible to the collector.
                 let k = self.free_kinds.get(*i).copied().unwrap_or(Kind::Tagged);
-                let d = self.define(v, k)?;
+                let d = self.define(v, k);
                 let disp = (8 * (*i as i64 + 2) - self.shared.closure_tag) as i32;
                 self.insts.push(Inst::LoadD { d, p: 0, disp });
                 Ok(())
@@ -809,7 +891,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             }
             Bound::If(test, t, els) => {
                 // Value-producing if.
-                let dst = self.fresh_reg(Kind::Raw)?; // join_kind corrects
+                let dst = self.fresh_reg(Kind::Raw); // join_kind corrects
                 self.regs.insert(v, dst);
                 let else_l = self.new_label();
                 let join = self.new_label();
@@ -821,7 +903,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 Ok(())
             }
             Bound::Body(e) => {
-                let dst = self.fresh_reg(Kind::Raw)?; // join_kind corrects
+                let dst = self.fresh_reg(Kind::Raw); // join_kind corrects
                 self.regs.insert(v, dst);
                 let join = self.new_label();
                 self.emit_expr(e, &mut Ctx::Yield { dst, join })?;
@@ -834,13 +916,12 @@ impl<'a, 'b> FnGen<'a, 'b> {
     /// Binds `v`'s register to the unspecified value, but only when the
     /// variable is actually read (effect-only prims usually are not).
     fn bind_unspec_if_used(&mut self, v: VarId) -> Result<(), CodegenError> {
+        // An unread binding is never mentioned, so it takes no frame
+        // register.
+        let d = self.define(v, Kind::Tagged);
         if self.uses.get(&v).copied().unwrap_or(0) > 0 {
             let w = self.shared.unspec_word;
-            let d = self.define(v, Kind::Tagged)?;
             self.insts.push(Inst::Const { d, imm: w });
-        } else {
-            let d = self.define(v, Kind::Tagged)?;
-            let _ = d; // register reserved but never written; init value is safe
         }
         Ok(())
     }
@@ -868,7 +949,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 };
                 let a = self.atom_reg(&args[0])?;
                 let imm = self.atom_imm(&args[1])?;
-                let d = self.define(v, Kind::Raw)?;
+                let d = self.define(v, Kind::Raw);
                 match imm {
                     Some(i) => self.insts.push(Inst::BinI {
                         op: o,
@@ -886,7 +967,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             SpecHeader(rid) => {
                 let tag = self.spec_tag(rid)?;
                 let p = self.atom_reg(&args[0])?;
-                let d = self.define(v, Kind::Raw)?;
+                let d = self.define(v, Kind::Raw);
                 self.insts.push(Inst::LoadD { d, p, disp: -tag });
                 Ok(())
             }
@@ -896,7 +977,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                     None => RegImm::Reg(self.atom_reg(&args[0])?),
                 };
                 let fill = self.atom_reg(&args[1])?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v, Kind::Tagged);
                 self.insts.push(Inst::AllocFill {
                     d,
                     len,
@@ -909,7 +990,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 let tag = self.spec_tag(rid)?;
                 let p = self.atom_reg(&args[0])?;
                 let off = self.atom_imm(&args[1])?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v, Kind::Tagged);
                 match off {
                     Some(byteoff) => self.insts.push(Inst::LoadD {
                         d,
@@ -971,7 +1052,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                     RepProject | RepTest | RepLen => Kind::Raw,
                     _ => Kind::Tagged,
                 };
-                let d = self.define(v, kind)?;
+                let d = self.define(v, kind);
                 self.insts.push(Inst::Rep {
                     op: o,
                     d,
@@ -981,7 +1062,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
             }
             Intern => {
                 let s = self.atom_reg(&args[0])?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v, Kind::Tagged);
                 self.insts.push(Inst::Intern { d, s });
                 Ok(())
             }
@@ -1003,7 +1084,7 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 // handler's result land in `d`.
                 let hr = self.atom_reg(&args[0])?;
                 let tr = self.atom_reg(&args[1])?;
-                let d = self.define(v, Kind::Tagged)?;
+                let d = self.define(v, Kind::Tagged);
                 let after = self.new_label();
                 self.patches.push((self.insts.len(), after));
                 self.insts.push(Inst::PushHandler { h: hr, d, t: 0 });
@@ -1040,5 +1121,209 @@ impl<'a, 'b> FnGen<'a, 'b> {
                 self.shared.registry.info(rid).name
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The roles [`Shared`] needs, laid out as the shipped prelude does.
+    fn registry() -> RepRegistry {
+        let mut reg = RepRegistry::new();
+        let fx = reg.intern_immediate("fixnum", 3, 0, 3).unwrap();
+        let bo = reg.intern_immediate("boolean", 8, 0b0000_0010, 8).unwrap();
+        let un = reg
+            .intern_immediate("unspecified", 8, 0b0011_0010, 8)
+            .unwrap();
+        let cl = reg.intern_pointer("closure", 7, false).unwrap();
+        for (role, id) in [
+            ("fixnum", fx),
+            ("boolean", bo),
+            ("unspecified", un),
+            ("closure", cl),
+        ] {
+            reg.provide_role(role, id).unwrap();
+        }
+        reg
+    }
+
+    fn let_(v: VarId, b: Bound, body: Expr) -> Expr {
+        Expr::Let(v, b, Box::new(body))
+    }
+
+    fn var(v: VarId) -> Atom {
+        Atom::Var(v)
+    }
+
+    /// Every register operand of `inst`, in visiting order.
+    fn operands<R: Copy>(inst: &Inst<R>) -> Vec<R> {
+        let mut out = Vec::new();
+        inst.clone().regs_mut(|r| out.push(*r));
+        out
+    }
+
+    #[test]
+    fn reuse_keeps_kinds_and_holds_values_across_handler_regions() {
+        // f(a):
+        //   r1 = a + 8                        raw
+        //   x  = if r1 { r2 = r1 << 3; r2 }   raw on one path ...
+        //        else  { t = g0; t }          ... tagged on the other
+        //   r3 = r1 - 1                       raw, live across the handler
+        //   z  = trap-call(g1, g2)            PushHandler region; x and r3
+        //                                     are live into its target
+        //   r4 = r3 & 7
+        //   if r4 then x else z
+        let (a, r1, x, r2, t, r3, h, th, z, r4) = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10);
+        let body = let_(
+            r1,
+            Bound::Prim(PrimOp::WordAdd, vec![var(a), Atom::raw(8)]),
+            let_(
+                x,
+                Bound::If(
+                    Test::NonZero(var(r1)),
+                    Box::new(let_(
+                        r2,
+                        Bound::Prim(PrimOp::WordShl, vec![var(r1), Atom::raw(3)]),
+                        Expr::Ret(var(r2)),
+                    )),
+                    Box::new(let_(t, Bound::GlobalGet(0), Expr::Ret(var(t)))),
+                ),
+                let_(
+                    r3,
+                    Bound::Prim(PrimOp::WordSub, vec![var(r1), Atom::raw(1)]),
+                    let_(
+                        h,
+                        Bound::GlobalGet(1),
+                        let_(
+                            th,
+                            Bound::GlobalGet(2),
+                            let_(
+                                z,
+                                Bound::Prim(PrimOp::TrapCall, vec![var(h), var(th)]),
+                                let_(
+                                    r4,
+                                    Bound::Prim(PrimOp::WordAnd, vec![var(r3), Atom::raw(7)]),
+                                    Expr::If(
+                                        Test::NonZero(var(r4)),
+                                        Box::new(Expr::Ret(var(x))),
+                                        Box::new(Expr::Ret(var(z))),
+                                    ),
+                                ),
+                            ),
+                        ),
+                    ),
+                ),
+            ),
+        );
+        let f = Fun {
+            name: Some("f".into()),
+            self_var: 0,
+            params: vec![a],
+            rest: None,
+            free_count: 0,
+            body,
+        };
+        let registry = registry();
+        let mut shared = Shared {
+            registry: &registry,
+            pool: Vec::new(),
+            pool_index: HashMap::new(),
+            false_word: encode_role_imm(&registry, roles::BOOLEAN, 0).unwrap(),
+            unspec_word: encode_role_imm(&registry, roles::UNSPECIFIED, 0).unwrap(),
+            closure_tag: ptr_tag(&registry, roles::CLOSURE).unwrap(),
+        };
+        let (virt, kinds) = FnGen::virtual_code(&f, &[], &mut shared).unwrap();
+        let (code, frame) = allocate_registers(virt.clone(), &kinds, 2).unwrap();
+        assert_eq!(code.len(), virt.len(), "renaming adds or drops nothing");
+
+        // Recover the renaming and each virtual register's interval.
+        let mut map: HashMap<VReg, Reg> = HashMap::new();
+        let mut span: HashMap<VReg, (usize, usize)> = HashMap::new();
+        for (pc, (vi, pi)) in virt.iter().zip(&code).enumerate() {
+            for (v, r) in operands(vi).into_iter().zip(operands(pi)) {
+                assert_eq!(*map.entry(v).or_insert(r), r, "v{v} renamed consistently");
+                span.entry(v).or_insert((pc, pc)).1 = pc;
+            }
+        }
+        assert_eq!(map[&1], 1, "the parameter keeps its entry register");
+        assert!(
+            map.iter().all(|(&v, &r)| r > 1 || v == r as VReg),
+            "entry registers are never reused"
+        );
+        for (&v, &r) in &map {
+            assert_eq!(kinds[v as usize], frame[r as usize], "v{v} in r{r}");
+        }
+        for (&v, &r) in &map {
+            for (&w, &s) in &map {
+                let ((v0, v1), (w0, w1)) = (span[&v], span[&w]);
+                if v != w && r == s {
+                    assert!(v1 < w0 || w1 < v0, "v{v} and v{w} overlap in r{r}");
+                }
+            }
+        }
+
+        // A value live into the handler target keeps its register across
+        // the protected region: nothing else touches it in between.
+        let (push, target) = virt
+            .iter()
+            .enumerate()
+            .find_map(|(pc, i)| match i {
+                Inst::PushHandler { t, .. } => Some((pc, *t as usize)),
+                _ => None,
+            })
+            .expect("a handler region");
+        let live_across: Vec<VReg> = span
+            .iter()
+            .filter(|(_, &(first, last))| first < push && last >= target)
+            .map(|(&v, _)| v)
+            .collect();
+        let across_kinds: Vec<Kind> = live_across.iter().map(|&v| kinds[v as usize]).collect();
+        assert!(across_kinds.contains(&Kind::Raw) && across_kinds.contains(&Kind::Tagged));
+        for &v in &live_across {
+            for (pc, vi) in virt.iter().enumerate().take(target + 1).skip(push) {
+                for w in operands(vi) {
+                    assert!(
+                        w == v || map[&w] != map[&v],
+                        "v{w} shares r{} at pc {pc}",
+                        map[&v]
+                    );
+                }
+            }
+        }
+
+        // Registers were reused, and both kinds occur.
+        assert!(
+            frame.len() < kinds.len(),
+            "{} vregs in {} registers",
+            kinds.len(),
+            frame.len()
+        );
+        assert!(frame.contains(&Kind::Raw) && frame.contains(&Kind::Tagged));
+    }
+
+    #[test]
+    fn backward_jump_is_refused() {
+        let err = allocate_registers(vec![Inst::Jump { t: 0 }], &[Kind::Tagged], 1).unwrap_err();
+        assert!(err.0.contains("backward jump"), "{err}");
+    }
+
+    #[test]
+    fn register_cap_counts_only_simultaneously_live_values() {
+        // `n` values all live at one tail call, plus the closure register.
+        let code = |n: u32| -> (Vec<Inst<VReg>>, Vec<Kind>) {
+            let mut insts: Vec<Inst<VReg>> = (1..=n).map(|d| Inst::Const { d, imm: 0 }).collect();
+            insts.push(Inst::TailCall {
+                f: 0,
+                args: (1..=n).collect(),
+            });
+            (insts, vec![Kind::Tagged; n as usize + 1])
+        };
+        let (insts, kinds) = code(65_535);
+        let (_, frame) = allocate_registers(insts, &kinds, 1).unwrap();
+        assert_eq!(frame.len(), 65_536);
+        let (insts, kinds) = code(65_536);
+        let err = allocate_registers(insts, &kinds, 1).unwrap_err();
+        assert!(err.0.contains("more than 65536 registers"), "{err}");
     }
 }

@@ -46,9 +46,9 @@ pub enum CmpOp {
 
 /// A register or a small immediate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegImm {
+pub enum RegImm<R = Reg> {
     /// Operand in a register.
-    Reg(Reg),
+    Reg(R),
     /// Immediate operand.
     Imm(i32),
 }
@@ -70,32 +70,36 @@ pub enum RepVmOp {
 }
 
 /// One VM instruction.
+///
+/// `R` is the register operand type: [`Reg`] in a loadable program.  The
+/// code generator emits unbounded virtual registers and renames them onto
+/// frame registers with [`Inst::map_regs`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum Inst {
+pub enum Inst<R = Reg> {
     /// `d <- imm` (an already-encoded tagged word or raw word).
-    Const { d: Reg, imm: i64 },
+    Const { d: R, imm: i64 },
     /// `d <- pool[idx]` (heap constants built by the loader).
-    Pool { d: Reg, idx: u32 },
+    Pool { d: R, idx: u32 },
     /// `d <- s`.
-    Move { d: Reg, s: Reg },
+    Move { d: R, s: R },
     /// `d <- a op b`.
-    Bin { op: BinOp, d: Reg, a: Reg, b: Reg },
+    Bin { op: BinOp, d: R, a: R, b: R },
     /// `d <- a op imm`.
-    BinI { op: BinOp, d: Reg, a: Reg, imm: i32 },
+    BinI { op: BinOp, d: R, a: R, imm: i32 },
     /// `d <- heap[(p + disp) >> 3]` — displacement addressing folds the tag.
-    LoadD { d: Reg, p: Reg, disp: i32 },
+    LoadD { d: R, p: R, disp: i32 },
     /// `d <- heap[(p + x + disp) >> 3]` — indexed addressing.
-    LoadX { d: Reg, p: Reg, x: Reg, disp: i32 },
+    LoadX { d: R, p: R, x: R, disp: i32 },
     /// `heap[(p + disp) >> 3] <- s`.
-    StoreD { p: Reg, disp: i32, s: Reg },
+    StoreD { p: R, disp: i32, s: R },
     /// `heap[(p + x + disp) >> 3] <- s`.
-    StoreX { p: Reg, x: Reg, disp: i32, s: Reg },
+    StoreX { p: R, x: R, disp: i32, s: R },
     /// Allocate an object of representation `rep` with `len` fields, all
     /// initialized to `fill`; `d` receives the tagged pointer.
     AllocFill {
-        d: Reg,
-        len: RegImm,
-        fill: Reg,
+        d: R,
+        len: RegImm<R>,
+        fill: R,
         rep: RepId,
     },
     /// Unconditional jump to instruction index `t`.
@@ -103,54 +107,49 @@ pub enum Inst {
     /// `if a cmp b goto t` (b may be an immediate).
     JumpCmp {
         op: CmpOp,
-        a: Reg,
-        b: RegImm,
+        a: R,
+        b: RegImm<R>,
         t: u32,
     },
     /// `d <- globals[g]`.
-    GlobalGet { d: Reg, g: u32 },
+    GlobalGet { d: R, g: u32 },
     /// `globals[g] <- s`.
-    GlobalSet { g: u32, s: Reg },
+    GlobalSet { g: u32, s: R },
     /// Allocate a closure over function `f` capturing `free`.
-    MakeClosure { d: Reg, f: FnId, free: Vec<Reg> },
+    MakeClosure { d: R, f: FnId, free: Vec<R> },
     /// Overwrite free slot `idx` of closure `clo` (letrec patching).
-    ClosureSet { clo: Reg, idx: u32, val: Reg },
+    ClosureSet { clo: R, idx: u32, val: R },
     /// Indirect call through a closure value.
-    Call { d: Reg, f: Reg, args: Vec<Reg> },
+    Call { d: R, f: R, args: Vec<R> },
     /// Direct call to a known function (`clo` becomes the callee's closure
     /// register).
-    CallKnown {
-        d: Reg,
-        f: FnId,
-        clo: Reg,
-        args: Vec<Reg>,
-    },
+    CallKnown { d: R, f: FnId, clo: R, args: Vec<R> },
     /// Indirect tail call.
-    TailCall { f: Reg, args: Vec<Reg> },
+    TailCall { f: R, args: Vec<R> },
     /// Direct tail call.
-    TailCallKnown { f: FnId, clo: Reg, args: Vec<Reg> },
+    TailCallKnown { f: FnId, clo: R, args: Vec<R> },
     /// Return `s` to the caller.
-    Ret { s: Reg },
+    Ret { s: R },
     /// Generic representation operation (dynamic dispatch on the rep-type
     /// argument in `args[0]`, except `MakeImm`/`MakePtr`).
-    Rep { op: RepVmOp, d: Reg, args: Vec<Reg> },
+    Rep { op: RepVmOp, d: R, args: Vec<R> },
     /// Intern the string in `s`; `d` receives the canonical symbol.
-    Intern { d: Reg, s: Reg },
+    Intern { d: R, s: R },
     /// Append the character in `s` to the output port.
-    WriteChar { s: Reg },
+    WriteChar { s: R },
     /// Raise a runtime error carrying the value in `s`.
-    ErrorOp { s: Reg },
+    ErrorOp { s: R },
     /// Install a trap handler: if a recoverable trap fires while this
     /// frame (or any callee) runs, the stack unwinds back here, the closure
     /// in `h` is called with the condition value, and its result lands in
     /// `d` with control resuming at instruction index `t`.
-    PushHandler { h: Reg, d: Reg, t: u32 },
+    PushHandler { h: R, d: R, t: u32 },
     /// Uninstall the most recent trap handler (normal exit of the
     /// protected extent).
     PopHandler,
     /// Raise the value in `s` as a condition, delivering it to the nearest
     /// handler (terminal `UncaughtCondition` error when none exists).
-    RaiseOp { s: Reg },
+    RaiseOp { s: R },
     /// Reset the dynamic instruction counters (measurement support; not
     /// itself counted).
     ResetCounters,
@@ -202,7 +201,7 @@ impl InstClass {
     }
 }
 
-impl Inst {
+impl<R> Inst<R> {
     /// The reporting class of this instruction.
     pub fn class(&self) -> InstClass {
         match self {
@@ -233,6 +232,162 @@ impl Inst {
             | Inst::RaiseOp { .. }
             | Inst::ResetCounters => InstClass::Misc,
         }
+    }
+}
+
+impl<R> RegImm<R> {
+    fn map<S>(self, f: impl FnOnce(R) -> S) -> RegImm<S> {
+        match self {
+            RegImm::Reg(r) => RegImm::Reg(f(r)),
+            RegImm::Imm(i) => RegImm::Imm(i),
+        }
+    }
+}
+
+impl<R> Inst<R> {
+    /// The one visitor over register operands: rebuilds the instruction
+    /// with every register operand passed through `f`, the destination
+    /// first and then the sources in field order (a `RegImm` operand only
+    /// when it is a register).  Struct fields below are written, and so
+    /// evaluated, in that order.
+    pub fn map_regs<S>(self, mut f: impl FnMut(R) -> S) -> Inst<S> {
+        fn list<R, S>(v: Vec<R>, f: &mut impl FnMut(R) -> S) -> Vec<S> {
+            v.into_iter().map(f).collect()
+        }
+        match self {
+            Inst::Const { d, imm } => Inst::Const { d: f(d), imm },
+            Inst::Pool { d, idx } => Inst::Pool { d: f(d), idx },
+            Inst::Move { d, s } => Inst::Move { d: f(d), s: f(s) },
+            Inst::Bin { op, d, a, b } => Inst::Bin {
+                op,
+                d: f(d),
+                a: f(a),
+                b: f(b),
+            },
+            Inst::BinI { op, d, a, imm } => Inst::BinI {
+                op,
+                d: f(d),
+                a: f(a),
+                imm,
+            },
+            Inst::LoadD { d, p, disp } => Inst::LoadD {
+                d: f(d),
+                p: f(p),
+                disp,
+            },
+            Inst::LoadX { d, p, x, disp } => Inst::LoadX {
+                d: f(d),
+                p: f(p),
+                x: f(x),
+                disp,
+            },
+            Inst::StoreD { p, disp, s } => Inst::StoreD {
+                p: f(p),
+                s: f(s),
+                disp,
+            },
+            Inst::StoreX { p, x, disp, s } => Inst::StoreX {
+                p: f(p),
+                x: f(x),
+                s: f(s),
+                disp,
+            },
+            Inst::AllocFill { d, len, fill, rep } => Inst::AllocFill {
+                d: f(d),
+                fill: f(fill),
+                len: len.map(&mut f),
+                rep,
+            },
+            Inst::Jump { t } => Inst::Jump { t },
+            Inst::JumpCmp { op, a, b, t } => Inst::JumpCmp {
+                op,
+                a: f(a),
+                b: b.map(&mut f),
+                t,
+            },
+            Inst::GlobalGet { d, g } => Inst::GlobalGet { d: f(d), g },
+            Inst::GlobalSet { g, s } => Inst::GlobalSet { g, s: f(s) },
+            Inst::MakeClosure { d, f: fid, free } => {
+                let d = f(d);
+                Inst::MakeClosure {
+                    d,
+                    f: fid,
+                    free: list(free, &mut f),
+                }
+            }
+            Inst::ClosureSet { clo, idx, val } => Inst::ClosureSet {
+                clo: f(clo),
+                idx,
+                val: f(val),
+            },
+            Inst::Call { d, f: callee, args } => {
+                let (d, callee) = (f(d), f(callee));
+                Inst::Call {
+                    d,
+                    f: callee,
+                    args: list(args, &mut f),
+                }
+            }
+            Inst::CallKnown {
+                d,
+                f: fid,
+                clo,
+                args,
+            } => {
+                let (d, clo) = (f(d), f(clo));
+                Inst::CallKnown {
+                    d,
+                    f: fid,
+                    clo,
+                    args: list(args, &mut f),
+                }
+            }
+            Inst::TailCall { f: callee, args } => {
+                let callee = f(callee);
+                Inst::TailCall {
+                    f: callee,
+                    args: list(args, &mut f),
+                }
+            }
+            Inst::TailCallKnown { f: fid, clo, args } => {
+                let clo = f(clo);
+                Inst::TailCallKnown {
+                    f: fid,
+                    clo,
+                    args: list(args, &mut f),
+                }
+            }
+            Inst::Ret { s } => Inst::Ret { s: f(s) },
+            Inst::Rep { op, d, args } => {
+                let d = f(d);
+                Inst::Rep {
+                    op,
+                    d,
+                    args: list(args, &mut f),
+                }
+            }
+            Inst::Intern { d, s } => Inst::Intern { d: f(d), s: f(s) },
+            Inst::WriteChar { s } => Inst::WriteChar { s: f(s) },
+            Inst::ErrorOp { s } => Inst::ErrorOp { s: f(s) },
+            Inst::PushHandler { h, d, t } => Inst::PushHandler {
+                h: f(h),
+                d: f(d),
+                t,
+            },
+            Inst::PopHandler => Inst::PopHandler,
+            Inst::RaiseOp { s } => Inst::RaiseOp { s: f(s) },
+            Inst::ResetCounters => Inst::ResetCounters,
+        }
+    }
+
+    /// [`Inst::map_regs`] in place: visits every register operand, in the
+    /// same order, through `&mut`.
+    pub fn regs_mut(&mut self, mut f: impl FnMut(&mut R)) {
+        let inst = std::mem::replace(self, Inst::PopHandler);
+        *self = inst.map_regs(|mut r| {
+            f(&mut r);
+            r
+        });
     }
 }
 
@@ -323,13 +478,13 @@ mod tests {
             .class(),
             InstClass::Memory
         );
-        assert_eq!(Inst::Jump { t: 0 }.class(), InstClass::Branch);
+        assert_eq!(Inst::<Reg>::Jump { t: 0 }.class(), InstClass::Branch);
         assert_eq!(Inst::Ret { s: 0 }.class(), InstClass::Call);
         assert_eq!(
             Inst::PushHandler { h: 0, d: 0, t: 0 }.class(),
             InstClass::Misc
         );
-        assert_eq!(Inst::PopHandler.class(), InstClass::Misc);
+        assert_eq!(Inst::<Reg>::PopHandler.class(), InstClass::Misc);
         assert_eq!(Inst::RaiseOp { s: 0 }.class(), InstClass::Misc);
         assert_eq!(
             Inst::Rep {

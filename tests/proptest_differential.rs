@@ -38,7 +38,7 @@ use sxr::report::run_resumable_with;
 use sxr::{Compiler, FaultPlan, PipelineConfig};
 use sxr_analysis::{verifier_hook, verify_program};
 use sxr_bench::{measured_configs, BENCHMARKS};
-use sxr_vm::{CodeProgram, Inst, Machine, MachineConfig, PoolEntry, Reg, RegImm, VerifierHook};
+use sxr_vm::{CodeProgram, Inst, Machine, MachineConfig, PoolEntry, Reg, VerifierHook};
 
 /// Deterministic xorshift64* PRNG — the sequence is fixed per seed, so every
 /// CI run tests the same programs and failures reproduce exactly.
@@ -527,66 +527,6 @@ const MUTATION_KINDS: usize = 8;
 /// Draws of a site before a program is taken to have none for a kind.
 const SITE_DRAWS: usize = 64;
 
-/// Every register field of `inst`, for in-place mutation.
-fn reg_fields(inst: &mut Inst) -> Vec<&mut Reg> {
-    let mut out: Vec<&mut Reg> = Vec::new();
-    match inst {
-        Inst::Const { d, .. } | Inst::Pool { d, .. } | Inst::GlobalGet { d, .. } => out.push(d),
-        Inst::Move { d, s } | Inst::Intern { d, s } => out.extend([d, s]),
-        Inst::Bin { d, a, b, .. } => out.extend([d, a, b]),
-        Inst::BinI { d, a, .. } => out.extend([d, a]),
-        Inst::LoadD { d, p, .. } => out.extend([d, p]),
-        Inst::LoadX { d, p, x, .. } => out.extend([d, p, x]),
-        Inst::StoreD { p, s, .. } => out.extend([p, s]),
-        Inst::StoreX { p, x, s, .. } => out.extend([p, x, s]),
-        Inst::AllocFill { d, len, fill, .. } => {
-            out.extend([d, fill]);
-            if let RegImm::Reg(r) = len {
-                out.push(r);
-            }
-        }
-        Inst::JumpCmp { a, b, .. } => {
-            out.push(a);
-            if let RegImm::Reg(r) = b {
-                out.push(r);
-            }
-        }
-        Inst::GlobalSet { s, .. }
-        | Inst::Ret { s }
-        | Inst::WriteChar { s }
-        | Inst::ErrorOp { s }
-        | Inst::RaiseOp { s } => out.push(s),
-        Inst::MakeClosure { d, free, .. } => {
-            out.push(d);
-            out.extend(free.iter_mut());
-        }
-        Inst::ClosureSet { clo, val, .. } => out.extend([clo, val]),
-        Inst::Call { d, f, args } => {
-            out.extend([d, f]);
-            out.extend(args.iter_mut());
-        }
-        Inst::CallKnown { d, clo, args, .. } => {
-            out.extend([d, clo]);
-            out.extend(args.iter_mut());
-        }
-        Inst::TailCall { f, args } => {
-            out.push(f);
-            out.extend(args.iter_mut());
-        }
-        Inst::TailCallKnown { clo, args, .. } => {
-            out.push(clo);
-            out.extend(args.iter_mut());
-        }
-        Inst::Rep { d, args, .. } => {
-            out.push(d);
-            out.extend(args.iter_mut());
-        }
-        Inst::PushHandler { h, d, .. } => out.extend([h, d]),
-        Inst::Jump { .. } | Inst::PopHandler | Inst::ResetCounters => {}
-    }
-    out
-}
-
 /// A value near `bound`: two times in three in range, otherwise up to
 /// three past it, so most mutants load and the rest probe decode's bounds.
 fn near(rng: &mut Rng, bound: usize) -> usize {
@@ -638,13 +578,21 @@ fn mutate(prog: &mut CodeProgram, hot: &[usize], kind: usize, rng: &mut Rng) -> 
     let site = format!("`{name}` pc {pc}");
     match (kind, inst) {
         (0, inst) => {
-            let mut fields = reg_fields(inst);
-            if fields.is_empty() {
+            let mut n = 0;
+            inst.regs_mut(|_| n += 1);
+            if n == 0 {
                 return None;
             }
-            let i = rng.below(fields.len());
-            *fields[i] = near(rng, nregs) as Reg;
-            Some(format!("{site}: register operand {i} := r{}", fields[i]))
+            let i = rng.below(n);
+            let r = near(rng, nregs) as Reg;
+            let mut k = 0;
+            inst.regs_mut(|field| {
+                if k == i {
+                    *field = r;
+                }
+                k += 1;
+            });
+            Some(format!("{site}: register operand {i} := r{r}"))
         }
         (1, Inst::Jump { t } | Inst::JumpCmp { t, .. } | Inst::PushHandler { t, .. }) => {
             *t = near(rng, len) as u32;
